@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .combin import as_sset, binom, kneser_adjacency, sset_rank
+from .combin import _check_loose, as_sset, binom, kneser_adjacency, sset_rank
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -188,8 +188,7 @@ def edge_expansion(
     families.  Since r >= 2s, every edge contains at least one disjoint
     pair of s-sets, so the normalizer is just the edge count.
     """
-    if s < 1 or 2 * s > h.r:
-        raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={h.r}")
+    _check_loose(h.r, s)
     fam_a = {as_sset(x, h.n) for x in fam_s}
     fam_b = {as_sset(x, h.n) for x in fam_t}
     if not fam_a or not fam_b:

@@ -1,12 +1,20 @@
 """Experiment driver: one subcommand per capability, seeded and reproducible.
 
-All randomness flows from --seed and the trial index through a splittable
-seed derivation, so --jobs never changes results.  Reports are JSON or CSV,
-written atomically when --output is given, and byte-stable when re-run with
-identical flags (--deterministic drops the one timestamp field).
+One table, _SUBCOMMANDS, declares every subcommand: its help, its flags,
+where its instances come from, its default --trials and its runner.  The
+parser, the config echo and the instance-source checks are derived from
+it.  All randomness flows from --seed and the trial index through a
+splittable seed derivation, so trial k draws the same instance whatever
+the rest of the run does.  Reports are JSON or CSV, written atomically
+when --output is given, and byte-stable when re-run with identical flags
+(--deterministic drops the one timestamp field).
 
 Exit status: 0 when the run's check passes, 1 on a tolerance failure or a
 trial-level error (reported as a structured record), 2 on a usage error.
+A bad parameter value -- --p outside (0, 1), a negative --seed, a budget
+below 1, a HYPERLAP_BUDGET that is not a positive integer, --bins below 1
+or --family-frac outside (0, 1] -- is a usage error that still emits a
+structured BadParams document.
 """
 
 from __future__ import annotations
@@ -17,15 +25,14 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable
 
 import numpy as np
 
-from .combin import binom, sset_unrank
-from .errors import HyperlapError
+from .combin import _check_loose, _work_budget, binom, sset_unrank
+from .errors import BadParams, HyperlapError
 from .hypergraph import (
     Hypergraph,
     RandomModel,
@@ -54,22 +61,12 @@ from .walks import census, census_upper_bound
 from . import apps
 
 
-# jobs and output are execution mechanics, not part of the experiment: the
-# echo omits them so runs that differ only there compare byte-identical
+# output is an execution mechanic, not part of the experiment: the echo
+# omits it so runs that differ only there compare byte-identical
 _CORE_FIELDS = (
     "subcommand", "n", "r", "s", "p", "t", "seed", "trials",
     "format", "budget", "deterministic",
 )
-_EXTRA_FIELDS = {
-    "spectrum": ("use_complete", "input_path", "dump_path", "tol"),
-    "radius": ("slack",),
-    "semicircle": ("bins", "ks_tol"),
-    "mixing": ("use_complete", "input_path", "steps", "tol"),
-    "diameter": ("use_complete", "input_path", "tol"),
-    "expansion": ("use_complete", "input_path", "family_frac", "tol"),
-    "monotonicity": ("use_complete", "input_path", "tol"),
-    "diagnostics": ("tol",),
-}
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,6 @@ class ExperimentConfig:
     t: int | None = None
     seed: int = 0
     trials: int = 1
-    jobs: int = 1
     format: str = "json"
     output: str | None = None
     budget: int | None = None
@@ -100,9 +96,10 @@ class ExperimentConfig:
     tol: float = 1e-9
 
     def echo(self) -> dict:
-        # config echo keeps only the fields that matter for this subcommand
+        # config echo keeps the core fields and the subcommand's own flags
         d = asdict(self)
-        keep = _CORE_FIELDS + _EXTRA_FIELDS.get(self.subcommand, ())
+        own = [_dest(flag) for flag in _flags(_SUBCOMMANDS[self.subcommand])]
+        keep = _CORE_FIELDS + tuple(k for k in own if k not in _CORE_FIELDS)
         return {k: d[k] for k in keep if d[k] is not None}
 
 
@@ -121,29 +118,43 @@ def trial_seed(base: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _resolve_budget(cfg: ExperimentConfig) -> int | None:
-    if cfg.budget is not None:
-        return cfg.budget
-    env = os.environ.get("HYPERLAP_BUDGET")
-    return int(env) if env else None
-
-
 def _map_trials(cfg: ExperimentConfig, fn: Callable[[int, int], dict]) -> list[dict]:
     """Run fn(trial, derived_seed) for every trial, results in trial order.
 
     Module errors become structured records instead of aborting the run.
     """
-
-    def one(k: int) -> dict:
+    records = []
+    for k in range(cfg.trials):
         try:
-            return fn(k, trial_seed(cfg.seed, k))
+            records.append(fn(k, trial_seed(cfg.seed, k)))
         except HyperlapError as exc:
-            return {"trial": k, "error": type(exc).__name__, "message": str(exc)}
+            records.append({"trial": k, "error": type(exc).__name__, "message": str(exc)})
+    return records
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(one, range(cfg.trials)))
-    return [one(k) for k in range(cfg.trials)]
+
+def _trials(
+    cfg: ExperimentConfig, body: Callable[[int, Hypergraph], dict], ok: Callable[[dict], bool]
+) -> tuple[list[dict], list[dict], int]:
+    """Run body(k, h) on each trial's instance: (records, good records, passes).
+
+    A record is {"trial": k, **body(k, h)} plus "seed" when h was sampled.
+    --p-only subcommands always sample and put the seed right after the
+    trial; the others append it.  passes counts the good records that ok
+    accepts; the run passes when it equals --trials.
+    """
+    sampled = not (cfg.use_complete or cfg.input_path)
+    lead = _SUBCOMMANDS[cfg.subcommand].source == "p"
+
+    def one(k: int, seed: int) -> dict:
+        head = {"trial": k, "seed": seed} if lead else {"trial": k}
+        rec = {**head, **body(k, _instance(cfg, seed))}
+        if sampled and not lead:
+            rec["seed"] = seed
+        return rec
+
+    records = _map_trials(cfg, one)
+    good = [rec for rec in records if "error" not in rec]
+    return records, good, sum(bool(ok(rec)) for rec in good)
 
 
 def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
@@ -153,8 +164,7 @@ def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
             return read_hypergraph(fh)
     if cfg.use_complete:
         return complete(cfg.n, cfg.r)
-    model = RandomModel(cfg.n, cfg.r, cfg.p, seed)
-    return sample(model, _resolve_budget(cfg))
+    return sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), cfg.budget)
 
 
 def _laplacian_of(h: Hypergraph, s: int) -> Laplacian:
@@ -215,22 +225,13 @@ def _radius_reference(n: int, r: int, s: int, p: float, slack: float) -> float:
 def _run_radius(cfg: ExperimentConfig):
     bound = _radius_reference(cfg.n, cfg.r, cfg.s, cfg.p, cfg.slack)
 
-    def one(k: int, seed: int) -> dict:
-        h = sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), _resolve_budget(cfg))
+    def one(k: int, h: Hypergraph) -> dict:
         spec = eigenvalues_sym(_laplacian_of(h, cfg.s).matrix)
         lam = spectral_radius(spec)
-        return {
-            "trial": k,
-            "seed": seed,
-            "edges": h.num_edges,
-            "lambda_bar": lam,
-            "bound": bound,
-            "within": bool(lam <= bound),
-        }
+        return {"edges": h.num_edges, "lambda_bar": lam, "bound": bound,
+                "within": bool(lam <= bound)}
 
-    records = _map_trials(cfg, one)
-    good = [rec for rec in records if "error" not in rec]
-    within = sum(rec["within"] for rec in good)
+    records, good, within = _trials(cfg, one, lambda rec: rec["within"])
     summary = {
         "trials": cfg.trials,
         "errors": len(records) - len(good),
@@ -251,15 +252,17 @@ def _run_semicircle(cfg: ExperimentConfig):
     )
 
     def one(k: int, seed: int) -> dict:
-        h = sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), _resolve_budget(cfg))
-        c = centered_weight(h, cfg.s, cfg.p)
+        c = centered_weight(_instance(cfg, seed), cfg.s, cfg.p)
         scaled = scaled_ecdf(eigenvalues_sym(c), 0.0, radius)
         return {"trial": k, "points": scaled.points}
 
     per_trial = _map_trials(cfg, one)
     errors = [rec for rec in per_trial if "error" in rec]
-    pooled = np.concatenate([rec["points"] for rec in per_trial if "points" in rec])
-    ks = ks_distance(Ecdf(pooled), semicircle_cdf)
+    # an empty pool (every trial errored) still gets a complete report
+    pooled = np.concatenate(
+        [np.empty(0)] + [rec["points"] for rec in per_trial if "points" in rec]
+    )
+    ks = ks_distance(Ecdf(pooled), semicircle_cdf) if pooled.size else None
     lo, hi = -1.25, 1.25
     counts, edges = np.histogram(pooled, bins=cfg.bins, range=(lo, hi))
     records = [
@@ -276,11 +279,11 @@ def _run_semicircle(cfg: ExperimentConfig):
         "ks_distance": ks,
         "ks_tol": cfg.ks_tol,
     }
-    return records, summary, not errors and ks <= cfg.ks_tol
+    return records, summary, not errors and ks is not None and ks <= cfg.ks_tol
 
 
 def _run_walk_count(cfg: ExperimentConfig):
-    cen = census(cfg.n, cfg.r, cfg.s, cfg.t, _resolve_budget(cfg))
+    cen = census(cfg.n, cfg.r, cfg.s, cfg.t, cfg.budget)
     records = []
     violations = 0
     for (i, j), cnt in sorted(cen.counts.items()):
@@ -295,59 +298,41 @@ def _run_walk_count(cfg: ExperimentConfig):
 
 
 def _run_mixing(cfg: ExperimentConfig):
-    single = cfg.use_complete or cfg.input_path
-
-    def one(k: int, seed: int) -> dict:
-        h = _instance(cfg, seed)
+    def one(k: int, h: Hypergraph) -> dict:
         g = build_aux(h, cfg.s)
         spec = eigenvalues_sym(normalized_laplacian(g).matrix)
         lam = spectral_radius(spec)
         rep = apps.mixing_contraction(
             apps.transition_system(g), lam, steps=cfg.steps, tol=cfg.tol
         )
-        rec = {
-            "trial": k,
+        return {
             "factors": [float(f) for f in rep.factors],
             "bound": rep.bound,
             "skipped": rep.skipped,
             "holds": rep.holds,
         }
-        if not single:
-            rec["seed"] = seed
-        return rec
 
-    records = _map_trials(cfg, one)
-    holds = sum(rec.get("holds", False) for rec in records)
+    records, _, holds = _trials(cfg, one, lambda rec: rec["holds"])
     summary = {"trials": cfg.trials, "holds": holds, "steps": cfg.steps}
     return records, summary, holds == cfg.trials
 
 
 def _run_diameter(cfg: ExperimentConfig):
-    single = cfg.use_complete or cfg.input_path
-
-    def one(k: int, seed: int) -> dict:
-        h = _instance(cfg, seed)
+    def one(k: int, h: Hypergraph) -> dict:
         g = build_aux(h, cfg.s)
         spec = eigenvalues_sym(normalized_laplacian(g).matrix)
         diam = apps.s_diameter(g)
         bnd = apps.diameter_bound(spec, h, cfg.s)
-        rec = {"trial": k, "diameter": diam, "bound": bnd,
-               "within": bool(diam <= bnd)}
-        if not single:
-            rec["seed"] = seed
-        return rec
+        return {"diameter": diam, "bound": bnd, "within": bool(diam <= bnd)}
 
-    records = _map_trials(cfg, one)
-    good = [rec for rec in records if "error" not in rec]
-    within = sum(rec["within"] for rec in good)
+    records, good, within = _trials(cfg, one, lambda rec: rec["within"])
     summary = {"trials": cfg.trials, "errors": len(records) - len(good),
                "within": within}
     return records, summary, within == cfg.trials
 
 
 def _run_expansion(cfg: ExperimentConfig):
-    def one(k: int, seed: int) -> dict:
-        h = _instance(cfg, seed)
+    def one(k: int, h: Hypergraph) -> dict:
         spec = eigenvalues_sym(_laplacian_of(h, cfg.s).matrix)
         lam = spectral_radius(spec)
         count = binom(h.n, cfg.s)
@@ -361,8 +346,7 @@ def _run_expansion(cfg: ExperimentConfig):
         fam_t = [sset_unrank(int(x), h.n, cfg.s)
                  for x in rng.choice(count, size, replace=False)]
         rep = apps.edge_expansion(h, cfg.s, fam_s, fam_t, lam, tol=cfg.tol)
-        rec = {
-            "trial": k,
+        return {
             "family_size": size,
             "e_st": rep.e_st,
             "e_s": rep.e_s,
@@ -371,12 +355,8 @@ def _run_expansion(cfg: ExperimentConfig):
             "rhs": rep.rhs,
             "holds": rep.holds,
         }
-        if not (cfg.use_complete or cfg.input_path):
-            rec["seed"] = seed
-        return rec
 
-    records = _map_trials(cfg, one)
-    holds = sum(rec.get("holds", False) for rec in records)
+    records, _, holds = _trials(cfg, one, lambda rec: rec["holds"])
     summary = {"trials": cfg.trials, "holds": holds}
     return records, summary, holds == cfg.trials
 
@@ -396,13 +376,9 @@ def _run_ekr(cfg: ExperimentConfig):
 
 
 def _run_monotonicity(cfg: ExperimentConfig):
-    single = cfg.use_complete or cfg.input_path
-
-    def one(k: int, seed: int) -> dict:
-        h = _instance(cfg, seed)
+    def one(k: int, h: Hypergraph) -> dict:
         rep = apps.monotonicity_check(h, tol=cfg.tol)
-        rec = {
-            "trial": k,
+        return {
             "rows": [
                 {"s": row.s, "lambda1": row.lambda1, "lambda_max": row.lambda_max}
                 for row in rep.rows
@@ -410,15 +386,10 @@ def _run_monotonicity(cfg: ExperimentConfig):
             "lambda1_nonincreasing": rep.lambda1_nonincreasing,
             "lambda_max_nondecreasing": rep.lambda_max_nondecreasing,
         }
-        if not single:
-            rec["seed"] = seed
-        return rec
 
-    records = _map_trials(cfg, one)
-    ok = sum(
-        rec.get("lambda1_nonincreasing", False)
-        and rec.get("lambda_max_nondecreasing", False)
-        for rec in records
+    records, _, ok = _trials(
+        cfg, one,
+        lambda rec: rec["lambda1_nonincreasing"] and rec["lambda_max_nondecreasing"],
     )
     summary = {"trials": cfg.trials, "holds": ok}
     return records, summary, ok == cfg.trials
@@ -430,15 +401,12 @@ def _run_diagnostics(cfg: ExperimentConfig):
     window = 3.0 * math.sqrt(d * math.log(count))
     reference = count * d * (1.0 - cfg.p)
 
-    def one(k: int, seed: int) -> dict:
-        h = sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), _resolve_budget(cfg))
+    def one(k: int, h: Hypergraph) -> dict:
         stats = degree_stats(h, cfg.s, d_ref=d)
         degs = stats.degrees
         outside = int(((degs <= d - window) | (degs >= d + window)).sum())
         pert = apps.perturbation_diagnostics(h, cfg.s, cfg.p)
         return {
-            "trial": k,
-            "seed": seed,
             "degree_min": int(stats.min),
             "degree_max": int(stats.max),
             "outside_window": outside,
@@ -448,18 +416,16 @@ def _run_diagnostics(cfg: ExperimentConfig):
             "triangle_holds": pert.triangle_holds,
         }
 
-    records = _map_trials(cfg, one)
-    good = [rec for rec in records if "error" not in rec]
-    ok = sum(
-        rec["outside_window"] == 0
+    records, good, ok = _trials(
+        cfg, one,
+        lambda rec: rec["outside_window"] == 0
         and rec["triangle_holds"]
-        and rec["identity_residual"] <= cfg.tol
-        for rec in good
+        and rec["identity_residual"] <= cfg.tol,
     )
     summary = {
         "trials": cfg.trials,
         "errors": len(records) - len(good),
-        "holds": int(ok),
+        "holds": ok,
         "expected_degree": d,
         "window": window,
         "sum_sq_reference": reference,
@@ -467,27 +433,126 @@ def _run_diagnostics(cfg: ExperimentConfig):
     return records, summary, ok == cfg.trials
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "radius": _run_radius,
-    "semicircle": _run_semicircle,
-    "walk-count": _run_walk_count,
-    "mixing": _run_mixing,
-    "diameter": _run_diameter,
-    "expansion": _run_expansion,
-    "ekr": _run_ekr,
-    "monotonicity": _run_monotonicity,
-    "diagnostics": _run_diagnostics,
+# ---------------------------------------------------------------- the table
+
+# every flag a subcommand can take, as argparse keywords; defaults are
+# ExperimentConfig's, since a flag left off does not reach the namespace
+_OPTIONS = {
+    "--n": {"type": int, "required": True},
+    "--r": {"type": int, "required": True},
+    "--s": {"type": int, "required": True},
+    "--t": {"type": int, "required": True},
+    "--p": {"type": float, "required": True},
+    "--complete": {"action": "store_true", "dest": "use_complete"},
+    "--input": {"metavar": "PATH", "dest": "input_path"},
+    "--dump-matrix": {"metavar": "PATH", "dest": "dump_path"},
+    "--slack": {"type": float},
+    "--bins": {"type": int},
+    "--ks-tol": {"type": float},
+    "--steps": {"type": int},
+    "--family-frac": {"type": float},
+    "--tol": {"type": float},
+    "--seed": {"type": int},
+    "--trials": {"type": int},
+    "--format": {"choices": ("json", "csv")},
+    "--output": {"metavar": "PATH"},
+    "--budget": {"type": int},
+    "--deterministic": {"action": "store_true"},
 }
+_COMMON = ("--seed", "--trials", "--format", "--output", "--budget", "--deterministic")
+# instance source -> its flags; a trailing "?" makes a required flag optional.
+# "any": --complete, --input or --p (main insists on one); "p": --p only.
+_SOURCE_FLAGS = {
+    None: (),
+    "p": ("--p",),
+    "any": ("--complete", "--input", "--p?"),
+}
+
+
+@dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand: its flags beyond the common ones and its instance
+    source, its default --trials, and run(cfg) -> (records, summary, passed)."""
+
+    help: str
+    flags: tuple[str, ...]
+    source: str | None
+    trials: int
+    run: Callable[[ExperimentConfig], tuple[list, dict, bool]]
+
+
+def _flags(sub: _Subcommand) -> tuple[str, ...]:
+    return _SOURCE_FLAGS[sub.source] + sub.flags
+
+
+def _dest(flag: str) -> str:
+    opt = flag.rstrip("?")
+    return _OPTIONS[opt].get("dest", opt[2:].replace("-", "_"))
+
+
+_SUBCOMMANDS = {
+    "spectrum": _Subcommand(
+        "eigenvalues of the s-th Laplacian",
+        ("--n", "--r", "--s", "--dump-matrix", "--tol"), "any", 1, _run_spectrum),
+    "radius": _Subcommand(
+        "lambda_bar of random instances vs bound",
+        ("--n", "--r", "--s", "--slack"), "p", 10, _run_radius),
+    "semicircle": _Subcommand(
+        "scaled spectrum of W - E(W) vs the law",
+        ("--n", "--r", "--s", "--bins", "--ks-tol"), "p", 10, _run_semicircle),
+    "walk-count": _Subcommand(
+        "good closed walk census with bounds",
+        ("--n", "--r", "--s", "--t"), None, 1, _run_walk_count),
+    "mixing": _Subcommand(
+        "random-walk contraction factors vs lambda_bar",
+        ("--n", "--r", "--s", "--steps", "--tol"), "any", 1, _run_mixing),
+    "diameter": _Subcommand(
+        "BFS s-distance diameter vs the spectral bound",
+        ("--n", "--r", "--s", "--tol"), "any", 1, _run_diameter),
+    "expansion": _Subcommand(
+        "edge counts between random s-set families vs the bound",
+        ("--n", "--r", "--s", "--family-frac", "--tol"), "any", 1, _run_expansion),
+    "ekr": _Subcommand(
+        "intersecting-family bound from eigenvalue counts",
+        ("--n", "--s?"), None, 1, _run_ekr),
+    "monotonicity": _Subcommand(
+        "lambda_1 and lambda_max across stop sizes",
+        ("--n", "--r", "--tol"), "any", 1, _run_monotonicity),
+    "diagnostics": _Subcommand(
+        "degree concentration and perturbation split",
+        ("--n", "--r", "--s", "--tol"), "p", 5, _run_diagnostics),
+}
+
+
+def _check_params(cfg: ExperimentConfig) -> None:
+    """Reject bad parameter values once, before any reference constant.
+
+    The --p-only subcommands derive their bounds from the model before any
+    trial runs, so they need a valid model and a loose stop size up front.
+    """
+    _work_budget(cfg.budget)
+    if cfg.seed < 0:
+        raise BadParams(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.p is not None and not 0 < cfg.p < 1:
+        raise BadParams(f"need 0 < p < 1, got {cfg.p}")
+    if cfg.bins < 1:
+        raise BadParams(f"need bins >= 1, got {cfg.bins}")
+    if not 0 < cfg.family_frac <= 1:
+        raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
+    if _SUBCOMMANDS[cfg.subcommand].source == "p":
+        RandomModel(cfg.n, cfg.r, cfg.p, 0)
+        _check_loose(cfg.r, cfg.s)
+
+
+def _stamp(cfg: ExperimentConfig) -> str | None:
+    return None if cfg.deterministic else datetime.now(timezone.utc).isoformat()
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment; deterministic given the config."""
-    records, summary, passed = _RUNNERS[config.subcommand](config)
-    stamp = None
-    if not config.deterministic:
-        stamp = datetime.now(timezone.utc).isoformat()
-    return ExperimentReport(config.echo(), records, summary, passed, stamp)
+    _check_params(config)
+    records, summary, passed = _SUBCOMMANDS[config.subcommand].run(config)
+    return ExperimentReport(config.echo(), records, summary, passed, _stamp(config))
 
 
 # ------------------------------------------------------------------- output
@@ -580,120 +645,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra of loose Laplacians of uniform hypergraphs.",
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, trials_default=1):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, metavar="PATH")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--tol", type=float, default=1e-9)
-
-    def source(p, with_input=True):
-        p.add_argument("--complete", action="store_true", dest="use_complete")
-        p.add_argument("--p", type=float, default=None)
-        if with_input:
-            p.add_argument("--input", default=None, metavar="PATH",
-                           dest="input_path")
-
-    ps = sub.add_parser("spectrum", help="eigenvalues of the s-th Laplacian")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--r", type=int, required=True)
-    ps.add_argument("--s", type=int, required=True)
-    ps.add_argument("--dump-matrix", default=None, metavar="PATH",
-                    dest="dump_path")
-    source(ps)
-    common(ps)
-
-    pr = sub.add_parser("radius", help="lambda_bar of random instances vs bound")
-    for flag in ("--n", "--r", "--s"):
-        pr.add_argument(flag, type=int, required=True)
-    pr.add_argument("--p", type=float, required=True)
-    pr.add_argument("--slack", type=float, default=3.0)
-    common(pr, trials_default=10)
-
-    pc = sub.add_parser("semicircle", help="scaled spectrum of W - E(W) vs the law")
-    for flag in ("--n", "--r", "--s"):
-        pc.add_argument(flag, type=int, required=True)
-    pc.add_argument("--p", type=float, required=True)
-    pc.add_argument("--bins", type=int, default=40)
-    pc.add_argument("--ks-tol", type=float, default=0.05, dest="ks_tol")
-    common(pc, trials_default=10)
-
-    pw = sub.add_parser("walk-count", help="good closed walk census with bounds")
-    for flag in ("--n", "--r", "--s", "--t"):
-        pw.add_argument(flag, type=int, required=True)
-    common(pw)
-
-    for name, helptext in (
-        ("mixing", "random-walk contraction factors vs lambda_bar"),
-        ("diameter", "BFS s-distance diameter vs the spectral bound"),
-        ("expansion", "edge counts between random s-set families vs the bound"),
-        ("monotonicity", "lambda_1 and lambda_max across stop sizes"),
-    ):
-        pp = sub.add_parser(name, help=helptext)
-        pp.add_argument("--n", type=int, required=True)
-        pp.add_argument("--r", type=int, required=True)
-        if name != "monotonicity":
-            pp.add_argument("--s", type=int, required=True)
-        if name == "mixing":
-            pp.add_argument("--steps", type=int, default=3)
-        if name == "expansion":
-            pp.add_argument("--family-frac", type=float, default=0.25,
-                            dest="family_frac")
-        source(pp)
-        common(pp)
-
-    pe = sub.add_parser("ekr", help="intersecting-family bound from eigenvalue counts")
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--s", type=int, default=None)
-    common(pe)
-
-    pd = sub.add_parser("diagnostics", help="degree concentration and perturbation split")
-    for flag in ("--n", "--r", "--s"):
-        pd.add_argument(flag, type=int, required=True)
-    pd.add_argument("--p", type=float, required=True)
-    common(pd, trials_default=5)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, argument_default=argparse.SUPPRESS)
+        for flag in _flags(spec) + _COMMON:
+            opt = flag.rstrip("?")
+            kw = dict(_OPTIONS[opt])
+            if opt != flag:
+                kw["required"] = False
+            p.add_argument(opt, **kw)
+        p.set_defaults(trials=spec.trials)
     return top
-
-
-def _config_from(ns: argparse.Namespace) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in vars(ns).items() if k in known})
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = _config_from(ns)
+    cfg = ExperimentConfig(**vars(parser.parse_args(argv)))
 
-    needs_p = cfg.subcommand in {"radius", "semicircle", "diagnostics"}
-    if not needs_p and cfg.subcommand in {
-        "spectrum", "mixing", "diameter", "expansion", "monotonicity"
-    }:
+    if _SUBCOMMANDS[cfg.subcommand].source == "any":
         if not (cfg.use_complete or cfg.input_path or cfg.p is not None):
             parser.error(f"{cfg.subcommand} needs --complete, --input, or --p")
         if (cfg.use_complete or cfg.input_path) and cfg.trials > 1:
             parser.error("--trials > 1 only makes sense with --p")
     if cfg.trials < 1:
         parser.error("--trials must be at least 1")
-    if cfg.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     try:
         report = run(cfg)
     except HyperlapError as exc:
         # setup-level failure: still a complete, structured document
-        report = ExperimentReport(
-            cfg.echo(),
-            [],
-            {"error": type(exc).__name__, "message": str(exc)},
-            False,
-            None if cfg.deterministic else datetime.now(timezone.utc).isoformat(),
-        )
+        summary = {"error": type(exc).__name__, "message": str(exc)}
+        report = ExperimentReport(cfg.echo(), [], summary, False, _stamp(cfg))
         emit(report, cfg)
         return 2
     emit(report, cfg)

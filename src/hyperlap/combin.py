@@ -9,14 +9,39 @@ of S does not depend on n.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadParams, BadRank, BadVertex, DegenerateKneser
+from .errors import BadParams, BadRank, BadVertex, DegenerateKneser, NotLoose
 
 SSet = tuple[int, ...]
+
+# work cap shared by random sampling (candidate edges) and walk
+# enumeration (search states) when no budget is given and HYPERLAP_BUDGET is unset
+DEFAULT_BUDGET = 10**8
+
+
+def _work_budget(budget: int | None) -> int:
+    """Resolve the work budget: explicit arg, then HYPERLAP_BUDGET, then default."""
+    if budget is None:
+        env = os.environ.get("HYPERLAP_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError as exc:
+            raise BadParams(f"HYPERLAP_BUDGET={env!r} is not an integer") from exc
+    if budget < 1:
+        raise BadParams(f"budget must be positive, got {budget}")
+    return budget
+
+
+def _check_loose(r: int, s: int) -> None:
+    if s < 1 or 2 * s > r:
+        raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
 
 
 def binom(n: int, k: int) -> int:

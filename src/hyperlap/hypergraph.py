@@ -13,10 +13,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .combin import SSet, as_sset, binom, sset_rank, ssets_colex
+from .combin import SSet, _work_budget, as_sset, binom, sset_rank, ssets_colex
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
-
-MAX_SAMPLE_EDGES = 10**8
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,9 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
 
     One PCG64 stream seeded by model.seed, one uniform draw per candidate
     edge in colex order; identical models produce identical hypergraphs.
+    The candidate count is capped by the work budget (see _work_budget).
     """
-    limit = MAX_SAMPLE_EDGES if budget is None else budget
+    limit = _work_budget(budget)
     count = binom(model.n, model.r)
     if count > limit:
         raise TooLarge(f"{count} candidate edges exceed budget {limit}")

@@ -16,16 +16,11 @@ from typing import IO
 
 import numpy as np
 
-from .combin import EigenPair, binom, kneser_adjacency, sset_rank
-from .errors import BadParams, DimMismatch, NotLoose, TooLarge, ZeroDegree
+from .combin import EigenPair, _check_loose, binom, kneser_adjacency, sset_rank
+from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph
 
 MAX_DENSE_DIM = 2048
-
-
-def _check_loose(r: int, s: int) -> None:
-    if s < 1 or 2 * s > r:
-        raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
 
 
 @dataclass(frozen=True)

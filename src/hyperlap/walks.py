@@ -14,7 +14,6 @@ and the search advances by (next stop rank, edge rank).
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,30 +21,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .combin import SSet, binom, catalan, ssets_colex
-from .errors import BadCode, BadParams, NotGood, NotLoose, TooLarge
-
-DEFAULT_BUDGET = 10**8
-
-
-def _work_budget(budget: int | None) -> int:
-    """Resolve the node budget: explicit arg, then HYPERLAP_BUDGET, then default."""
-    if budget is not None:
-        if budget < 1:
-            raise BadParams(f"budget must be positive, got {budget}")
-        return budget
-    env = os.environ.get("HYPERLAP_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise BadParams(f"HYPERLAP_BUDGET={env!r} is not an integer") from exc
-    return DEFAULT_BUDGET
-
-
-def _check_loose(r: int, s: int) -> None:
-    if s < 1 or 2 * s > r:
-        raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
+from .combin import SSet, _check_loose, _work_budget, binom, catalan, ssets_colex
+from .errors import BadCode, BadParams, NotGood, TooLarge
 
 
 @dataclass(frozen=True)
@@ -254,6 +231,7 @@ class WalkCensus:
 
 def census(n: int, r: int, s: int, t: int, budget: int | None = None) -> WalkCensus:
     """Count good closed t-walks by (i, j) = (#distinct edges, #distinct vertices)."""
+    _check_loose(r, s)  # before _tables, which cannot list s-sets for s < 0
     tab = _tables(n, r, s)
     rmask = tab.rmask
     out: dict[tuple[int, int], int] = {}

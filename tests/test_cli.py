@@ -1,11 +1,13 @@
 """Driver behavior: exit codes, formats, determinism, atomic output."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperlap import load_matrix, read_hypergraph, write_hypergraph, complete
+from hyperlap import load_matrix, write_hypergraph, complete
 from hyperlap.cli import ExperimentConfig, main, run, trial_seed
 
 
@@ -98,16 +100,6 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_do_not_change_output(tmp_path):
-    base = ["diameter", "--n", "10", "--r", "3", "--s", "1", "--p", "0.5",
-            "--trials", "6", "--seed", "4", "--deterministic", "--format", "csv"]
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    main(base + ["--output", str(out1)])
-    main(base + ["--output", str(out2), "--jobs", "4"])
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_csv_walk_count_row(capsys):
     main(["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "2",
           "--format", "csv", "--deterministic"])
@@ -165,3 +157,157 @@ def test_trials_rejected_for_complete(capsys):
         main(["mixing", "--n", "8", "--r", "4", "--s", "2", "--complete",
               "--trials", "3"])
     assert exc.value.code == 2
+
+
+def _run(argv, capsys):
+    code = main(argv + ["--deterministic"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "1.5"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0"],
+    ["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "1.5"],
+    ["diagnostics", "--n", "8", "--r", "3", "--s", "1", "--p", "-0.5"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "nan"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--budget", "-3"],
+    ["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "2", "--budget", "0"],
+    ["radius", "--n", "4", "--r", "8", "--s", "1", "--p", "0.5"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--seed", "-1"],
+    ["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--bins", "0"],
+    ["expansion", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5",
+     "--family-frac", "2"],
+])
+def test_bad_value_is_a_bad_params_document(argv, capsys):
+    code, doc = _run(argv, capsys)
+    assert code == 2
+    assert doc["summary"]["error"] == "BadParams"
+    assert doc["records"] == [] and doc["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--n", "4", "--r", "4", "--s", "4", "--p", "0.5"],
+    ["walk-count", "--n", "4", "--r", "0", "--s", "-1", "--t", "1"],
+])
+def test_bad_stop_size_is_a_not_loose_document(argv, capsys):
+    code, doc = _run(argv, capsys)
+    assert code == 2
+    assert doc["summary"]["error"] == "NotLoose"
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-5"])
+def test_bad_budget_env_is_a_usage_error(env, monkeypatch, capsys):
+    monkeypatch.setenv("HYPERLAP_BUDGET", env)
+    code, doc = _run(["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5"],
+                     capsys)
+    assert code == 2
+    assert doc["summary"]["error"] == "BadParams"
+
+
+def test_semicircle_every_trial_errors(capsys):
+    code, doc = _run(["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5",
+                      "--trials", "2", "--budget", "1"], capsys)
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["summary"]["errors"] == 2
+    assert doc["summary"]["pooled"] == 0
+    assert doc["summary"]["ks_distance"] is None
+    assert len(doc["records"]) == 40
+
+
+def test_tol_rejected_where_unused():
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5",
+              "--tol", "0.1"])
+    assert exc.value.code == 2
+
+
+# the echo's keys and their order are part of the pinned report bytes
+CORE = ["subcommand", "n", "r", "s", "p", "t", "seed", "trials", "format", "budget",
+        "deterministic"]
+ECHO_EXTRA = {
+    "spectrum": ["use_complete", "input_path", "dump_path", "tol"],
+    "radius": ["slack"],
+    "semicircle": ["bins", "ks_tol"],
+    "walk-count": [],
+    "mixing": ["use_complete", "input_path", "steps", "tol"],
+    "diameter": ["use_complete", "input_path", "tol"],
+    "expansion": ["use_complete", "input_path", "family_frac", "tol"],
+    "ekr": [],
+    "monotonicity": ["use_complete", "input_path", "tol"],
+    "diagnostics": ["tol"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(ECHO_EXTRA))
+def test_echo_key_order(sub):
+    cfg = ExperimentConfig(subcommand=sub, n=6, r=2, s=1, p=0.5, t=2, budget=9,
+                           output="out.json", input_path="h.txt", dump_path="m.txt")
+    assert list(cfg.echo()) == CORE + ECHO_EXTRA[sub]
+
+
+# every subcommand's flags, with values around and outside their valid
+# ranges at small sizes; a flag a subcommand does not take is a usage error
+FUZZ_FLAGS = {
+    "spectrum": ["--n", "--r", "--s", "--p", "--complete", "--tol"],
+    "radius": ["--n", "--r", "--s", "--p", "--slack"],
+    "semicircle": ["--n", "--r", "--s", "--p", "--bins", "--ks-tol"],
+    "walk-count": ["--n", "--r", "--s", "--t"],
+    "mixing": ["--n", "--r", "--s", "--p", "--complete", "--steps", "--tol"],
+    "diameter": ["--n", "--r", "--s", "--p", "--complete", "--tol"],
+    "expansion": ["--n", "--r", "--s", "--p", "--complete", "--family-frac", "--tol"],
+    "ekr": ["--n", "--s"],
+    "monotonicity": ["--n", "--r", "--p", "--complete", "--tol"],
+    "diagnostics": ["--n", "--r", "--s", "--p", "--tol"],
+}
+REALS = st.sampled_from(["0.5", "0.5", "0.9", "0", "1", "1.5", "-0.5", "1e-9", "nan", "inf"])
+FUZZ_VALUES = {
+    "--n": st.integers(-1, 8),
+    "--r": st.integers(-1, 6),
+    "--s": st.integers(-1, 3),
+    "--t": st.integers(-1, 3),
+    "--bins": st.integers(-1, 4),
+    "--steps": st.integers(-1, 3),
+    "--trials": st.sampled_from([1, 1, 2, 0, -1]),
+    "--seed": st.integers(-1, 3),
+    "--budget": st.integers(-1, 400),
+    "--format": st.sampled_from(["json", "csv"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    sub = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [sub]
+    # mostly flags the subcommand takes; now and then one it does not
+    flags = FUZZ_FLAGS[sub] + ["--trials", "--seed", "--budget", "--format"]
+    if not draw(st.integers(0, 9)):
+        flags.append(draw(st.sampled_from(["--t", "--tol", "--complete"])))
+    for flag in flags:
+        if not draw(st.integers(0, 9 if flag in ("--n", "--r", "--s", "--t") else 2)):
+            continue
+        argv.append(flag)
+        if flag != "--complete":
+            argv.append(str(draw(FUZZ_VALUES.get(flag, REALS))))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_fuzz_flags_exit_codes_and_documents(argv):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--deterministic"])
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse usage error
+        return
+    assert code in (0, 1, 2)
+    text = out.getvalue()
+    if text.startswith("# config "):
+        json.loads(text.splitlines()[0][len("# config "):])
+        assert text.splitlines()[-1] in ("# pass=true", "# pass=false")
+    else:
+        doc = json.loads(text)
+        assert doc["pass"] is (code == 0)
