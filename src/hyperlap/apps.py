@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .combin import _check_loose, as_sset, binom, kneser_adjacency, sset_rank
+from .combin import (_check_loose, _disjoint_columns, as_sset, binom, kneser_adjacency,
+                     subset_ranks)
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -23,7 +23,7 @@ from .errors import (
     NotLoose,
     ZeroDegree,
 )
-from .hypergraph import Hypergraph, degree_stats
+from .hypergraph import Hypergraph, _edge_array, degree_stats
 from .laplacian import AuxGraph, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
@@ -199,22 +199,17 @@ def edge_expansion(
                 raise BadParams(f"{x} is not an {s}-set")
     if h.num_edges == 0:
         raise EmptySample("hypergraph has no edges")
-    hit = 0
-    for e in h.edges:
-        subs = [c for c in combinations(e, s)]
-        found = False
-        for a in subs:
-            if a in fam_a:
-                sa = set(a)
-                if any(b in fam_b and sa.isdisjoint(b) for b in subs):
-                    found = True
-                    break
-        hit += found
+    rank_a = subset_ranks(list(fam_a), h.n, s)[:, 0]
+    rank_b = subset_ranks(list(fam_b), h.n, s)[:, 0]
+    ranks = subset_ranks(_edge_array(h), h.n, s)
+    a, b = _disjoint_columns(h.r, s)
+    hits = np.isin(ranks[:, a], rank_a) & np.isin(ranks[:, b], rank_b)
+    hit = int(hits.any(axis=1).sum())
     degs = degree_stats(h, s).degrees
     vol = int(degs.sum())
     e_st = hit / h.num_edges
-    e_s = sum(int(degs[sset_rank(x, h.n)]) for x in fam_a) / vol
-    e_t = sum(int(degs[sset_rank(x, h.n)]) for x in fam_b) / vol
+    e_s = int(degs[rank_a].sum()) / vol
+    e_t = int(degs[rank_b].sum()) / vol
     lhs = abs(e_st - e_s * e_t)
     rhs = lambda_bar * math.sqrt(e_s * e_t * (1 - e_s) * (1 - e_t))
     return ExpansionReport(e_st, e_s, e_t, lhs, rhs, lhs <= rhs + tol)

@@ -11,10 +11,11 @@ when --output is given, and byte-stable when re-run with identical flags
 
 Exit status: 0 when the run's check passes, 1 on a tolerance failure or a
 trial-level error (reported as a structured record), 2 on a usage error.
-A bad parameter value -- --p outside (0, 1), a negative --seed, a budget
-below 1, a HYPERLAP_BUDGET that is not a positive integer, --bins below 1
-or --family-frac outside (0, 1] -- is a usage error that still emits a
-structured BadParams document.
+A bad parameter value -- --p outside (0, 1), a negative --n or --seed, a
+budget below 1, a HYPERLAP_BUDGET that is not a positive integer, --bins
+below 1 or --family-frac outside (0, 1] -- is a usage error that still
+emits a structured BadParams document.  So is an r outside [1, n] or a
+stop size that is not loose, wherever n and r do not come from --input.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .combin import _check_loose, _work_budget, binom, sset_unrank
-from .errors import BadParams, HyperlapError
+from .combin import _check_loose, _work_budget, binom, colex_unrank
+from .errors import BadParams, DegenerateKneser, HyperlapError
 from .hypergraph import (
     Hypergraph,
     RandomModel,
@@ -341,10 +342,8 @@ def _run_expansion(cfg: ExperimentConfig):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, 1))
         )
-        fam_s = [sset_unrank(int(x), h.n, cfg.s)
-                 for x in rng.choice(count, size, replace=False)]
-        fam_t = [sset_unrank(int(x), h.n, cfg.s)
-                 for x in rng.choice(count, size, replace=False)]
+        fam_s = colex_unrank(rng.choice(count, size, replace=False), h.n, cfg.s)
+        fam_t = colex_unrank(rng.choice(count, size, replace=False), h.n, cfg.s)
         rep = apps.edge_expansion(h, cfg.s, fam_s, fam_t, lam, tol=cfg.tol)
         return {
             "family_size": size,
@@ -362,7 +361,9 @@ def _run_expansion(cfg: ExperimentConfig):
 
 
 def _run_ekr(cfg: ExperimentConfig):
-    sizes = [cfg.s] if cfg.s else list(range(1, cfg.n // 2 + 1))
+    sizes = [cfg.s] if cfg.s is not None else list(range(1, cfg.n // 2 + 1))
+    if not sizes:
+        raise DegenerateKneser(f"no stop size s with n >= 2s >= 2, n={cfg.n}")
     records = []
     for s in sizes:
         b = apps.ekr_bound(cfg.n, s)
@@ -527,21 +528,26 @@ _SUBCOMMANDS = {
 def _check_params(cfg: ExperimentConfig) -> None:
     """Reject bad parameter values once, before any reference constant.
 
-    The --p-only subcommands derive their bounds from the model before any
-    trial runs, so they need a valid model and a loose stop size up front.
+    Unless the instance is read from --input, whose n and r come from the
+    file and are checked per trial, r must lie in [1, n] and the stop size
+    must be loose before any trial runs; monotonicity, which sweeps s from
+    1, needs s = 1 to be loose.
     """
     _work_budget(cfg.budget)
     if cfg.seed < 0:
         raise BadParams(f"seed must be nonnegative, got {cfg.seed}")
+    if cfg.n is not None and cfg.n < 0:
+        raise BadParams(f"need n >= 0, got {cfg.n}")
     if cfg.p is not None and not 0 < cfg.p < 1:
         raise BadParams(f"need 0 < p < 1, got {cfg.p}")
     if cfg.bins < 1:
         raise BadParams(f"need bins >= 1, got {cfg.bins}")
     if not 0 < cfg.family_frac <= 1:
         raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
-    if _SUBCOMMANDS[cfg.subcommand].source == "p":
-        RandomModel(cfg.n, cfg.r, cfg.p, 0)
-        _check_loose(cfg.r, cfg.s)
+    if _SUBCOMMANDS[cfg.subcommand].source and not cfg.input_path:
+        if not 1 <= cfg.r <= cfg.n:
+            raise BadParams(f"need 1 <= r <= n, got r={cfg.r}, n={cfg.n}")
+        _check_loose(cfg.r, 1 if cfg.s is None else cfg.s)
 
 
 def _stamp(cfg: ExperimentConfig) -> str | None:

@@ -4,6 +4,13 @@ s-sets are canonical tuples of strictly increasing vertex ids in
 range(n).  Ranking is colexicographic: rank(S) = sum_i C(v_i, i+1) for
 S = (v_0 < v_1 < ... < v_{s-1}), so {0,...,s-1} has rank 0 and the rank
 of S does not depend on n.
+
+This module is the one home of the two rules the s-th Laplacian is built
+from: the colex rank of an s-set (subset_ranks, and its inverse
+colex_unrank, in bulk over arrays) and the disjointness of two s-sets
+(_disjoint, and the disjoint column pattern _disjoint_columns).  The
+scalar sset_rank and sset_unrank are kept as the reference the array
+kernels are tested against.
 """
 
 from __future__ import annotations
@@ -102,14 +109,57 @@ def sset_unrank(idx: int, n: int, s: int) -> SSet:
     return tuple(out)
 
 
+def _comb_table(n: int, s: int) -> np.ndarray:
+    """(s+1, n) table of C(v, i), clipped at C(n, s) to fit int64: each term
+    of a rank below C(n, s) is itself below C(n, s), so no result changes."""
+    cap = math.comb(n, s)
+    rows = [[min(math.comb(v, i), cap) for v in range(n)] for i in range(s + 1)]
+    return np.array(rows, dtype=np.int64)
+
+
+def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
+    """Colex ranks of the s-subsets of each row of an (m, r) array of
+    increasing vertex ids in range(n): an (m, C(r,s)) array whose column k
+    is the subset at the positions colex_unrank(k, r, s)."""
+    sets = np.asarray(sets, dtype=np.int64)
+    tab = _comb_table(n, s)
+    cols = colex_unrank(np.arange(math.comb(sets.shape[1], s)), sets.shape[1], s)
+    out = np.zeros((len(sets), len(cols)), dtype=np.int64)
+    for i in range(s):
+        out += tab[i + 1][sets[:, cols[:, i]]]
+    return out
+
+
+def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
+    """Bulk inverse of subset_ranks: one increasing row of vertex ids in
+    range(n) per colex rank in idx."""
+    rem = np.array(idx, dtype=np.int64)
+    tab = _comb_table(n, s)
+    out = np.empty((len(rem), s), dtype=np.int64)
+    for i in range(s, 0, -1):  # the largest v with C(v, i) <= rem
+        out[:, i - 1] = np.searchsorted(tab[i], rem, side="right") - 1
+        rem -= tab[i][out[:, i - 1]]
+    return out
+
+
 def ssets_colex(n: int, s: int) -> Iterator[SSet]:
     """All s-subsets of range(n) in colex order (rank order)."""
-    if s == 0:
-        yield ()
-        return
-    for m in range(s - 1, n):
-        for rest in ssets_colex(m, s - 1):
-            yield rest + (m,)
+    return map(tuple, colex_unrank(np.arange(binom(n, s)), n, s).tolist())
+
+
+def _disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bool matrix of which rows of a are disjoint from which rows of b."""
+    out = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    for i in range(a.shape[1]):
+        for j in range(b.shape[1]):
+            out &= a[:, i, None] != b[None, :, j]
+    return out
+
+
+def _disjoint_columns(r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column pairs (a, b) of subset_ranks on r-sets with disjoint subsets."""
+    pos = colex_unrank(np.arange(math.comb(r, s)), r, s)
+    return np.nonzero(_disjoint(pos, pos))
 
 
 @dataclass(frozen=True)
@@ -128,16 +178,8 @@ def kneser_adjacency(n: int, s: int) -> np.ndarray:
     """
     if s < 1 or n < s:
         raise BadParams(f"need 1 <= s <= n, got s={s}, n={n}")
-    sets = list(ssets_colex(n, s))
-    masks = [sum(1 << v for v in t) for t in sets]
-    dim = len(sets)
-    adj = np.zeros((dim, dim), dtype=np.int64)
-    for a in range(dim):
-        ma = masks[a]
-        for b in range(a + 1, dim):
-            if ma & masks[b] == 0:
-                adj[a, b] = adj[b, a] = 1
-    return adj
+    sets = colex_unrank(np.arange(math.comb(n, s)), n, s)
+    return _disjoint(sets, sets).astype(np.int64)
 
 
 def kneser_spectrum(n: int, s: int) -> list[EigenPair]:

@@ -8,12 +8,12 @@ with probability p; sampling is deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import IO, Iterable
 
 import numpy as np
 
-from .combin import SSet, _work_budget, as_sset, binom, sset_rank, ssets_colex
+from .combin import (SSet, _work_budget, as_sset, binom, colex_unrank, ssets_colex,
+                     subset_ranks)
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
 
 
@@ -47,6 +47,11 @@ class Hypergraph:
             raise StopTooLarge(f"{len(vs)}-set is not a proper subset of {self.r}-edges")
         want = set(vs)
         return sum(1 for e in self.edges if want.issubset(e))
+
+
+def _edge_array(h: Hypergraph) -> np.ndarray:
+    """The edges of h as an (m, r) int array, one increasing row per edge."""
+    return np.array(list(h.edges), dtype=np.int64).reshape(-1, h.r)
 
 
 def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -92,23 +97,30 @@ def expected_stop_degree(n: int, r: int, s: int, p: float) -> float:
     return binom(n - s, r - s) * p
 
 
+# uniform draws held at once while sampling: 8 MB of float64
+_DRAW_BLOCK = 2**20
+
+
 def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
     """Draw one hypergraph from the Bernoulli model.
 
     One PCG64 stream seeded by model.seed, one uniform draw per candidate
     edge in colex order; identical models produce identical hypergraphs.
     The candidate count is capped by the work budget (see _work_budget).
+    Draws come in blocks of _DRAW_BLOCK, which continue one stream, so
+    memory stays bounded and the edges do not depend on the block size.
     """
     limit = _work_budget(budget)
     count = binom(model.n, model.r)
     if count > limit:
         raise TooLarge(f"{count} candidate edges exceed budget {limit}")
     rng = np.random.default_rng(model.seed)
-    draws = rng.random(count)
-    edges = frozenset(
-        e for e, u in zip(ssets_colex(model.n, model.r), draws) if u < model.p
-    )
-    return Hypergraph(model.n, model.r, edges)
+    kept = [
+        start + np.flatnonzero(rng.random(min(_DRAW_BLOCK, count - start)) < model.p)
+        for start in range(0, count, _DRAW_BLOCK)
+    ]
+    edges = colex_unrank(np.concatenate(kept), model.n, model.r)
+    return Hypergraph(model.n, model.r, frozenset(zip(*edges.T.tolist())))
 
 
 @dataclass(frozen=True)
@@ -147,10 +159,8 @@ def degree_stats(h: Hypergraph, s: int, d_ref: float | None = None) -> DegreeSta
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={h.r}")
     if s > h.n:
         raise EmptySample(f"no {s}-sets on {h.n} vertices")
-    degs = np.zeros(binom(h.n, s), dtype=np.int64)
-    for e in h.edges:
-        for sub in combinations(e, s):
-            degs[sset_rank(sub, h.n)] += 1
+    ranks = subset_ranks(_edge_array(h), h.n, s)
+    degs = np.bincount(ranks.ravel(), minlength=binom(h.n, s))
     return DegreeStats(s, degs, d_ref)
 
 

@@ -6,19 +6,21 @@ Its weighted degree is C(r-s,s) d_S, with d_S the number of edges through
 S, so the normalized Laplacian I - D^{-1/2} W D^{-1/2} restricted to
 positive-degree s-sets captures the s-th spectral structure of the
 hypergraph.  All matrices are dense; s-sets are indexed in colex order.
+The colex ranks and the disjointness rule come from combin (subset_ranks
+and _disjoint_columns); this module only counts with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import IO
 
 import numpy as np
 
-from .combin import EigenPair, _check_loose, binom, kneser_adjacency, sset_rank
+from .combin import (EigenPair, _check_loose, _disjoint_columns, binom,
+                     kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _edge_array
 
 MAX_DENSE_DIM = 2048
 
@@ -78,16 +80,11 @@ def build_aux(h: Hypergraph, s: int, max_dim: int = MAX_DENSE_DIM) -> AuxGraph:
     dim = binom(h.n, s)
     if dim > max_dim:
         raise TooLarge(f"{dim} s-sets exceed the dense budget of {max_dim}")
-    weights = np.zeros((dim, dim), dtype=np.int64)
-    degrees = np.zeros(dim, dtype=np.int64)
-    for e in h.edges:
-        ranks = [sset_rank(sub, h.n) for sub in combinations(e, s)]
-        masks = [sum(1 << v for v in sub) for sub in combinations(e, s)]
-        for a, ma in zip(ranks, masks):
-            degrees[a] += 1
-            for b, mb in zip(ranks, masks):
-                if ma & mb == 0:
-                    weights[a, b] += 1
+    ranks = subset_ranks(_edge_array(h), h.n, s)
+    a, b = _disjoint_columns(h.r, s)
+    degrees = np.bincount(ranks.ravel(), minlength=dim)
+    pairs = (ranks[:, a] * dim + ranks[:, b]).ravel()
+    weights = np.bincount(pairs, minlength=dim * dim).reshape(dim, dim)
     return AuxGraph(h.n, h.r, s, weights, degrees)
 
 

@@ -8,7 +8,9 @@ disjoint, and S_i u S_{i+1} is contained in the linking edge F_i.  A walk
 is good when every distinct edge it uses appears at least twice.
 
 Enumeration order is deterministic: stops are ranked colexicographically
-and the search advances by (next stop rank, edge rank).
+and the search advances by (next stop rank, edge rank).  The successor
+tables are built with combin's colex-rank kernel (subset_ranks) and its
+disjoint column pattern (_disjoint_columns).
 """
 
 from __future__ import annotations
@@ -21,45 +23,41 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .combin import SSet, _check_loose, _work_budget, binom, catalan, ssets_colex
+import numpy as np
+
+from .combin import (SSet, _check_loose, _disjoint_columns, _work_budget, binom,
+                     catalan, colex_unrank, ssets_colex, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """Per-(n,r,s) lookup tables shared by all walk enumerations."""
+    """Per-(n,r,s) lookup tables shared by all walk enumerations; succ[a]
+    holds the steps (b, j) to a disjoint stop b over an edge j, by (b, j)."""
 
     ssets: tuple[SSet, ...]
-    smask: tuple[int, ...]
     rsets: tuple[SSet, ...]
     rmask: tuple[int, ...]
     succ: tuple[tuple[tuple[int, int], ...], ...]
-    pair_edges: dict[tuple[int, int], tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int, r: int, s: int) -> _Tables:
     ssets = tuple(ssets_colex(n, s))
-    smask = tuple(sum(1 << v for v in t) for t in ssets)
-    rsets = tuple(ssets_colex(n, r)) if n >= r else ()
-    rmask = tuple(sum(1 << v for v in t) for t in rsets)
-    srank = {t: i for i, t in enumerate(ssets)}
-    pairs: dict[tuple[int, int], list[int]] = {}
-    for j, edge in enumerate(rsets):
-        subs = [srank[c] for c in combinations(edge, s)]
-        for a in subs:
-            for b in subs:
-                if smask[a] & smask[b] == 0:
-                    pairs.setdefault((a, b), []).append(j)
-    pair_edges = {k: tuple(v) for k, v in pairs.items()}
-    succ = []
-    for a in range(len(ssets)):
-        row: list[tuple[int, int]] = []
-        for b in range(len(ssets)):
-            for j in pair_edges.get((a, b), ()):
-                row.append((b, j))
-        succ.append(tuple(row))
-    return _Tables(ssets, smask, rsets, rmask, tuple(succ), pair_edges)
+    rarr = colex_unrank(np.arange(binom(n, r)), n, r)
+    ranks = subset_ranks(rarr, n, s)
+    ca, cb = _disjoint_columns(r, s)
+    a = ranks[:, ca].ravel()
+    b = ranks[:, cb].ravel()
+    j = np.repeat(np.arange(len(rarr)), len(ca))
+    order = np.lexsort((j, b, a))
+    steps = list(zip(b[order].tolist(), j[order].tolist()))
+    ends = np.cumsum(np.bincount(a, minlength=len(ssets))).tolist()
+    succ = tuple(tuple(steps[lo:hi]) for lo, hi in zip([0] + ends, ends))
+    rsets = tuple(map(tuple, rarr.tolist()))
+    # Python-int bitmasks, so vertex ids past 63 still get their own bit
+    rmask = tuple((1 << rarr.astype(object)).sum(axis=1).tolist())
+    return _Tables(ssets, rsets, rmask, succ)
 
 
 def _raw_walks(
@@ -77,11 +75,10 @@ def _raw_walks(
     limit = _work_budget(budget)
     tab = _tables(n, r, s)
     succ = tab.succ
-    smask = tab.smask
-    pair = tab.pair_edges
     nodes = 0
     for a0 in range(len(tab.ssets)):
-        m0 = smask[a0]
+        # steps are symmetric, so these are the stops that can close to a0
+        back = {b for b, _ in succ[a0]}
         near: dict[int, tuple] = {}
         close: dict[int, tuple] = {}
 
@@ -90,13 +87,13 @@ def _raw_walks(
             if st == t:
                 bl = close.get(a)
                 if bl is None:
-                    bl = tuple((a0, j) for j in pair.get((a, a0), ()))
+                    bl = tuple(p for p in succ[a] if p[0] == a0)
                     close[a] = bl
                 return bl
             if st == t - 1:
                 bl = near.get(a)
                 if bl is None:
-                    bl = tuple(p for p in succ[a] if smask[p[0]] & m0 == 0)
+                    bl = tuple(p for p in succ[a] if p[0] in back)
                     near[a] = bl
                 return bl
             return succ[a]

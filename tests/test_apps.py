@@ -147,6 +147,33 @@ def test_expansion_full_families():
     assert rep.holds
 
 
+def test_expansion_hits_match_brute_force():
+    """e(S,T), e(S) and e(T) against the set definitions on random instances."""
+    from itertools import combinations
+
+    from hyperlap import degree_stats, sset_rank, sset_unrank
+
+    for n, r, s, seed in [(8, 4, 2, 0), (9, 3, 1, 1), (10, 5, 2, 2), (7, 6, 3, 3)]:
+        h = sample(RandomModel(n, r, 0.4, seed))
+        rng = np.random.default_rng(seed)
+        count = binom(n, s)
+        fam_s, fam_t = (
+            {sset_unrank(int(x), n, s) for x in rng.choice(count, k, replace=False)}
+            for k in (count // 4 + 1, count // 3 + 1)
+        )
+        hit = sum(
+            any(a in fam_s and b in fam_t and not set(a) & set(b)
+                for a in combinations(e, s) for b in combinations(e, s))
+            for e in h.edges
+        )
+        degs = degree_stats(h, s).degrees
+        vol = int(degs.sum())
+        rep = edge_expansion(h, s, fam_s, fam_t, 0.5)
+        assert rep.e_st == hit / h.num_edges
+        assert rep.e_s == sum(int(degs[sset_rank(x, n)]) for x in fam_s) / vol
+        assert rep.e_t == sum(int(degs[sset_rank(x, n)]) for x in fam_t) / vol
+
+
 def test_expansion_errors():
     h = complete(8, 4)
     with pytest.raises(EmptyFamily):

@@ -177,6 +177,12 @@ def _run(argv, capsys):
     ["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--bins", "0"],
     ["expansion", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5",
      "--family-frac", "2"],
+    ["ekr", "--n", "-3"],
+    ["walk-count", "--n", "-3", "--r", "2", "--s", "1", "--t", "2"],
+    ["mixing", "--n", "8", "--r", "9", "--s", "1", "--complete"],
+    ["diameter", "--n", "6", "--r", "0", "--s", "1", "--p", "0.5"],
+    ["expansion", "--n", "4", "--r", "5", "--s", "1", "--p", "0.5"],
+    ["monotonicity", "--n", "3", "--r", "4", "--complete"],
 ])
 def test_bad_value_is_a_bad_params_document(argv, capsys):
     code, doc = _run(argv, capsys)
@@ -188,11 +194,20 @@ def test_bad_value_is_a_bad_params_document(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["radius", "--n", "4", "--r", "4", "--s", "4", "--p", "0.5"],
     ["walk-count", "--n", "4", "--r", "0", "--s", "-1", "--t", "1"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "2", "--p", "0.5"],
+    ["diameter", "--n", "8", "--r", "4", "--s", "3", "--complete"],
+    ["expansion", "--n", "8", "--r", "3", "--s", "0", "--p", "0.5"],
+    ["monotonicity", "--n", "8", "--r", "1", "--p", "0.5"],
+    ["monotonicity", "--n", "8", "--r", "1", "--complete"],
+    ["ekr", "--n", "0", "--s", "0"],
+    ["ekr", "--n", "1"],
 ])
 def test_bad_stop_size_is_a_not_loose_document(argv, capsys):
     code, doc = _run(argv, capsys)
     assert code == 2
-    assert doc["summary"]["error"] == "NotLoose"
+    # ekr takes no r: its bad stop size is a Kneser graph K(n, s) with n < 2s
+    assert doc["summary"]["error"] == ("DegenerateKneser" if argv[0] == "ekr"
+                                       else "NotLoose")
 
 
 @pytest.mark.parametrize("env", ["abc", "0", "-5"])

@@ -21,6 +21,7 @@ from hyperlap import (
     sset_unrank,
     ssets_colex,
 )
+from hyperlap.combin import colex_unrank, subset_ranks
 
 
 def test_binom_matches_math_comb():
@@ -87,6 +88,36 @@ def test_rank_is_colex_monotone(data):
     ra, rb = sset_rank(ta, n), sset_rank(tb, n)
     # colex comparison: compare reversed tuples
     assert (ra < rb) == (ta[::-1] < tb[::-1])
+
+
+# (100, 98) puts C(v, i) far past int64 unless the table is clipped at C(n, s)
+RANK_SHAPES = st.just((100, 98)) | st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n))
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_subset_ranks_match_sset_rank(data):
+    n, r = data.draw(RANK_SHAPES)
+    s = data.draw(st.integers(r - 1 if n > 20 else 1, r))
+    m = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    rows = np.array([np.sort(rng.permutation(n)[:r]) for _ in range(m)]).reshape(m, r)
+    want = [
+        [sset_rank(row[list(sset_unrank(k, r, s))], n) for k in range(binom(r, s))]
+        for row in rows
+    ]
+    assert subset_ranks(rows, n, s).tolist() == want
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_colex_unrank_matches_sset_unrank(data):
+    n, s = data.draw(RANK_SHAPES)
+    idx = data.draw(st.lists(st.integers(0, binom(n, s) - 1), max_size=8))
+    got = colex_unrank(np.array(idx, dtype=np.int64), n, s)
+    assert [tuple(row) for row in got.tolist()] == [sset_unrank(i, n, s) for i in idx]
 
 
 def test_kneser_adjacency_petersen():

@@ -1,5 +1,6 @@
 """Hypergraph model, random sampling, degrees, and the text format."""
 
+import importlib
 import io
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_degree_edge_cases():
 def test_sample_deterministic():
     m = RandomModel(6, 3, 0.5, 42)
     assert sample(m).edges == sample(m).edges
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_sample_blocks_match_one_draw(block, monkeypatch):
+    """Blocked draws keep the same edges as one draw over all candidates."""
+    hg = importlib.import_module("hyperlap.hypergraph")
+    models = [RandomModel(9, 3, 0.4, 0), RandomModel(10, 4, 0.1, 7),
+              RandomModel(8, 5, 0.7, 2**63 + 5), RandomModel(6, 6, 0.5, 1)]
+    want = []
+    for m in models:
+        draws = np.random.default_rng(m.seed).random(binom(m.n, m.r))
+        want.append({e for e, u in zip(ssets_colex(m.n, m.r), draws) if u < m.p})
+    monkeypatch.setattr(hg, "_DRAW_BLOCK", block)
+    assert [set(sample(m).edges) for m in models] == want
 
 
 def test_sample_respects_budget():

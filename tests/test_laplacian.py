@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hyperlap import (
     BadParams,
     DimMismatch,
+    Hypergraph,
     NotLoose,
     TooLarge,
     binom,
@@ -17,6 +18,7 @@ from hyperlap import (
     centered_weight,
     complete,
     complete_spectrum,
+    degree_stats,
     dump_matrix,
     eigenvalues_sym,
     hypergraph,
@@ -87,6 +89,29 @@ def test_aux_invariants_random(data):
             assert w[a, b] == sum(1 for e in h.edges if union <= set(e))
     assert np.array_equal(w.sum(axis=1), g.degrees - 0)
     assert g.degrees.tolist() == (binom(r - s, s) * g.stop_degrees).tolist()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_aux_and_degrees_match_definitions(data):
+    """Every W(S,T) and every degree against a brute-force count."""
+    n = data.draw(st.integers(2, 8))
+    r = data.draw(st.integers(2, min(5, n)))
+    all_edges = list(ssets_colex(n, r))
+    h = Hypergraph(n, r, frozenset(data.draw(st.sets(st.sampled_from(all_edges)))))
+    for s in range(1, r + 1):
+        stops = [set(x) for x in ssets_colex(n, s)]
+        deg = [sum(1 for e in h.edges if x <= set(e)) for x in stops]
+        assert degree_stats(h, s).degrees.tolist() == deg
+        if 2 * s > r:
+            continue
+        g = build_aux(h, s)
+        assert g.stop_degrees.tolist() == deg
+        w = [
+            [0 if x & y else sum(1 for e in h.edges if x | y <= set(e)) for y in stops]
+            for x in stops
+        ]
+        assert g.weights.tolist() == w
 
 
 def test_laplacian_complete_graph():

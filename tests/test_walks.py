@@ -67,6 +67,31 @@ def test_enumerate_matches_census():
         assert dict(cells) == cen.counts
 
 
+def test_enumeration_order_pinned():
+    """The first walks of (5,3,1,4) and a few later ones, in the order the
+    stop-by-stop successor tables produce them."""
+    walks = [(w.stops, w.edges) for w in enumerate_closed_walks(5, 3, 1, 4)]
+    assert len(walks) == 21060
+    e012, e013, e014, e023 = (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)
+    s0101 = ((0,), (1,), (0,), (1,))
+    assert walks[:10] == [
+        (s0101, (e012, e012, e012, e012)),
+        (s0101, (e012, e012, e012, e013)),
+        (s0101, (e012, e012, e012, e014)),
+        (s0101, (e012, e012, e013, e012)),
+        (s0101, (e012, e012, e013, e013)),
+        (s0101, (e012, e012, e013, e014)),
+        (s0101, (e012, e012, e014, e012)),
+        (s0101, (e012, e012, e014, e013)),
+        (s0101, (e012, e012, e014, e014)),
+        (((0,), (1,), (0,), (2,)), (e012, e012, e012, e012)),
+    ]
+    assert walks[36] == (s0101, (e012, e013, e012, e012))
+    assert walks[108] == (((0,), (1,), (2,), (1,)), (e012, e012, e012, e012))
+    assert walks[117] == (((0,), (1,), (2,), (3,)), (e012, e012, e023, e013))
+    assert walks[351] == (s0101, (e013, e012, e012, e012))
+
+
 def test_census_pinned_values():
     assert census(5, 2, 1, 2).counts == {(1, 2): 20}
     assert census(6, 2, 1, 4).counts == {(1, 2): 30, (2, 3): 240}
