@@ -15,7 +15,8 @@ A bad parameter value -- --p outside (0, 1), a negative --n or --seed, a
 budget below 1, a HYPERLAP_BUDGET that is not a positive integer, --bins
 below 1 or --family-frac outside (0, 1] -- is a usage error that still
 emits a structured BadParams document.  So is an r outside [1, n] or a
-stop size that is not loose, wherever n and r do not come from --input.
+stop size that is not loose, wherever n and r do not come from --input
+(walk-count included).
 """
 
 from __future__ import annotations
@@ -531,7 +532,9 @@ def _check_params(cfg: ExperimentConfig) -> None:
     Unless the instance is read from --input, whose n and r come from the
     file and are checked per trial, r must lie in [1, n] and the stop size
     must be loose before any trial runs; monotonicity, which sweeps s from
-    1, needs s = 1 to be loose.
+    1, needs s = 1 to be loose.  walk-count, whose walks live in the
+    complete hypergraph on range(n), has no census at all when r > n; it
+    checks the stop size first, as census itself does.
     """
     _work_budget(cfg.budget)
     if cfg.seed < 0:
@@ -544,7 +547,10 @@ def _check_params(cfg: ExperimentConfig) -> None:
         raise BadParams(f"need bins >= 1, got {cfg.bins}")
     if not 0 < cfg.family_frac <= 1:
         raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
-    if _SUBCOMMANDS[cfg.subcommand].source and not cfg.input_path:
+    walks = cfg.subcommand == "walk-count"
+    if walks:
+        _check_loose(cfg.r, cfg.s)
+    if walks or (_SUBCOMMANDS[cfg.subcommand].source and not cfg.input_path):
         if not 1 <= cfg.r <= cfg.n:
             raise BadParams(f"need 1 <= r <= n, got r={cfg.r}, n={cfg.n}")
         _check_loose(cfg.r, 1 if cfg.s is None else cfg.s)

@@ -8,6 +8,7 @@ with probability p; sampling is deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
@@ -30,11 +31,7 @@ class Hypergraph:
             raise BadParams(f"need n >= 0, got {self.n}")
         if self.r < 1:
             raise BadParams(f"need r >= 1, got {self.r}")
-        for e in self.edges:
-            if len(e) != self.r:
-                raise BadVertex(f"edge {e} does not have {self.r} vertices")
-            if as_sset(e, self.n) != e:
-                raise BadVertex(f"edge {e} is not canonical over range({self.n})")
+        _check_edges(list(self.edges), self.n, self.r)
 
     @property
     def num_edges(self) -> int:
@@ -47,6 +44,32 @@ class Hypergraph:
             raise StopTooLarge(f"{len(vs)}-set is not a proper subset of {self.r}-edges")
         want = set(vs)
         return sum(1 for e in self.edges if want.issubset(e))
+
+
+def _check_edges(rows: list, n: int, r: int) -> None:
+    """Raise BadVertex unless every edge is what as_sset makes of it: a
+    tuple of r strictly increasing integer vertex ids in range(n).
+
+    Types and lengths are checked once per distinct value, and the ids as
+    one (m, r) array.  numpy widens a mix of signed and unsigned ids to
+    float, which is not exact past 2**53, so such ids are compared as
+    Python objects instead.
+    """
+    if not all(issubclass(k, tuple) for k in set(map(type, rows))):
+        raise BadVertex("every edge must be a tuple of vertex ids")
+    if set(map(len, rows)) - {r}:
+        raise BadVertex(f"an edge does not have {r} vertices")
+    flat = list(chain.from_iterable(rows))
+    for k in set(map(type, flat)):
+        if not issubclass(k, (int, np.integer)):
+            raise BadVertex(f"vertex of {k} is not an integer")
+    arr = np.array(flat)
+    if arr.dtype.kind == "f":
+        arr = np.array(flat, dtype=object)
+    arr = arr.reshape(-1, r)
+    bad = ((arr < 0) | (arr >= n)).any(axis=1) | (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
+    if bad.any():
+        raise BadVertex(f"edge {rows[bad.argmax()]} is not canonical over range({n})")
 
 
 def _edge_array(h: Hypergraph) -> np.ndarray:

@@ -11,6 +11,15 @@ Enumeration order is deterministic: stops are ranked colexicographically
 and the search advances by (next stop rank, edge rank).  The successor
 tables are built with combin's colex-rank kernel (subset_ranks) and its
 disjoint column pattern (_disjoint_columns).
+
+Rooting: the complete hypergraph is symmetric under every permutation of
+range(n), and the permutations act transitively on the stops, so each of
+the C(n,s) stops is the first stop of equally many good walks in every
+(distinct edges, distinct vertices) cell and every multiplicity profile.
+census and expected_trace therefore search only the walks that start at
+stop rank 0 and multiply each integer count by C(n,s) before any float
+arithmetic, so their results are the same, bit for bit, as a search from
+every stop.  enumerate_closed_walks still yields every walk.
 """
 
 from __future__ import annotations
@@ -60,14 +69,20 @@ def _tables(n: int, r: int, s: int) -> _Tables:
     return _Tables(ssets, rsets, rmask, succ)
 
 
+def _first_root(tab: _Tables) -> range:
+    """Stop rank 0 alone, or no root at all when there are no s-sets."""
+    return range(min(1, len(tab.ssets)))
+
+
 def _raw_walks(
-    n: int, r: int, s: int, t: int, good_only: bool, budget: int | None
+    n: int, r: int, s: int, t: int, good_only: bool, budget: int | None, roots: range
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (stop ranks, edge ranks) for every closed t-walk.
+    """Yield (stop ranks, edge ranks) for every closed t-walk whose first
+    stop rank lies in roots, root by root.
 
     Iterative depth-first search.  Prunes on goodness when good_only: a
     partial walk with more single-occurrence edges than remaining steps
-    can never become good.
+    can never become good.  The budget caps the search states visited.
     """
     _check_loose(r, s)
     if t < 1:
@@ -76,7 +91,7 @@ def _raw_walks(
     tab = _tables(n, r, s)
     succ = tab.succ
     nodes = 0
-    for a0 in range(len(tab.ssets)):
+    for done, a0 in enumerate(roots):
         # steps are symmetric, so these are the stops that can close to a0
         back = {b for b, _ in succ[a0]}
         near: dict[int, tuple] = {}
@@ -132,7 +147,10 @@ def _raw_walks(
                 continue
             nodes += 1
             if nodes > limit:
-                raise TooLarge(f"walk enumeration exceeded budget of {limit} states")
+                raise TooLarge(
+                    f"walk enumeration visited {limit} states, its whole budget, "
+                    f"and finished {done} of {len(roots)} roots"
+                )
             if st == t:
                 yield tuple(stops), tuple(edges) + (j,)
                 continue
@@ -201,7 +219,7 @@ def enumerate_closed_walks(
     """All closed s-walks of length t in the complete r-uniform hypergraph
     on range(n), in deterministic colex-driven order."""
     tab = _tables(n, r, s)
-    for sidx, eidx in _raw_walks(n, r, s, t, good_only, budget):
+    for sidx, eidx in _raw_walks(n, r, s, t, good_only, budget, range(len(tab.ssets))):
         yield ClosedWalk(
             tuple(tab.ssets[a] for a in sidx), tuple(tab.rsets[j] for j in eidx)
         )
@@ -227,19 +245,25 @@ class WalkCensus:
 
 
 def census(n: int, r: int, s: int, t: int, budget: int | None = None) -> WalkCensus:
-    """Count good closed t-walks by (i, j) = (#distinct edges, #distinct vertices)."""
+    """Count good closed t-walks by (i, j) = (#distinct edges, #distinct vertices).
+
+    Only the walks from stop rank 0 are searched; each cell count is then
+    multiplied by the number of stops C(n,s) (see the module docstring).
+    The cells keep the order in which the full enumeration first meets them.
+    """
     _check_loose(r, s)  # before _tables, which cannot list s-sets for s < 0
     tab = _tables(n, r, s)
     rmask = tab.rmask
     out: dict[tuple[int, int], int] = {}
-    for _, eidx in _raw_walks(n, r, s, t, True, budget):
+    for _, eidx in _raw_walks(n, r, s, t, True, budget, _first_root(tab)):
         es = set(eidx)
         m = 0
         for j in es:
             m |= rmask[j]
         key = (len(es), m.bit_count())
         out[key] = out.get(key, 0) + 1
-    return WalkCensus(n, r, s, t, out)
+    stops = len(tab.ssets)
+    return WalkCensus(n, r, s, t, {key: cnt * stops for key, cnt in out.items()})
 
 
 def edge_moment(q: int, p) -> float | Fraction:
@@ -266,16 +290,24 @@ def expected_trace(
     Sums, over good closed t-walks, the product over distinct edges of the
     central moment of order equal to the edge's multiplicity.  Walks with a
     single-occurrence edge contribute zero and are skipped outright.
+
+    Only the walks from stop rank 0 are searched.  Each integer profile
+    count is multiplied by the number of stops C(n,s) before it meets a
+    moment, never the finished float total, so the float result is the
+    same, bit for bit, as a sum over the walks from every stop.
     """
     if exact and not isinstance(p, Fraction):
         p = Fraction(p)
+    _check_loose(r, s)  # before _tables, which cannot list s-sets for s < 0
+    tab = _tables(n, r, s)
     profiles: dict[tuple[int, ...], int] = {}
-    for _, eidx in _raw_walks(n, r, s, t, True, budget):
+    for _, eidx in _raw_walks(n, r, s, t, True, budget, _first_root(tab)):
         prof = tuple(sorted(Counter(eidx).values()))
         profiles[prof] = profiles.get(prof, 0) + 1
+    stops = len(tab.ssets)
     total = Fraction(0) if exact else 0.0
     for prof, cnt in profiles.items():
-        total += cnt * math.prod(edge_moment(q, p) for q in prof)
+        total += (cnt * stops) * math.prod(edge_moment(q, p) for q in prof)
     return total
 
 

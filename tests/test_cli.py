@@ -183,6 +183,8 @@ def _run(argv, capsys):
     ["diameter", "--n", "6", "--r", "0", "--s", "1", "--p", "0.5"],
     ["expansion", "--n", "4", "--r", "5", "--s", "1", "--p", "0.5"],
     ["monotonicity", "--n", "3", "--r", "4", "--complete"],
+    ["walk-count", "--n", "3", "--r", "4", "--s", "1", "--t", "2"],
+    ["walk-count", "--n", "0", "--r", "2", "--s", "1", "--t", "2"],
 ])
 def test_bad_value_is_a_bad_params_document(argv, capsys):
     code, doc = _run(argv, capsys)

@@ -16,6 +16,7 @@ from hyperlap import (
     RandomModel,
     StopTooLarge,
     TooLarge,
+    as_sset,
     binom,
     complete,
     degree_stats,
@@ -41,6 +42,67 @@ def test_builder_rejects_bad_edges():
         hypergraph(5, 3, [[0, 1, 1]])
     with pytest.raises(BadVertex):
         hypergraph(5, 3, [[0, 1]])
+
+
+# a vertex id recast as another type: numpy ints keep it an integer id,
+# the rest make it something as_sset refuses
+_RECAST = (int, int, int, np.int64, np.int32, np.uint64, bool, float, str)
+
+
+def _accepted_by_as_sset(n: int, r: int, edges: frozenset) -> bool:
+    """The per-edge definition: each edge is exactly what as_sset makes of it."""
+    try:
+        return all(len(e) == r and as_sset(e, n) == e for e in edges)
+    except (BadVertex, TypeError):  # TypeError: len() of an int, sorting str with int
+        return False
+
+
+@st.composite
+def _edge_sets(draw):
+    r = draw(st.integers(1, 4))
+    clean = draw(st.booleans())  # half the examples hold only canonical edges
+    n = draw(st.integers(r if clean else 0, 7))
+    edges = set()
+    for _ in range(draw(st.integers(0, 4))):
+        if clean:
+            ids = sorted(draw(st.permutations(range(n)))[:r])
+        else:
+            size = draw(st.sampled_from([r, r, r, r - 1, r + 1]))
+            lo, hi = (-1, n + 1) if draw(st.integers(0, 3)) == 0 else (0, max(n - 1, 0))
+            ids = draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+            if draw(st.integers(0, 3)):
+                ids = sorted(set(ids))
+        kinds = st.sampled_from(_RECAST[:6] if clean else _RECAST)
+        cast = draw(st.lists(kinds, min_size=len(ids), max_size=len(ids)))
+        # np.uint64 cannot hold -1, and bool keeps only 0 and 1 apart
+        edges.add(tuple(
+            v if (k is np.uint64 and v < 0) or (k is bool and v > 1) else k(v)
+            for v, k in zip(ids, cast)
+        ))
+    if not clean:
+        edges |= draw(st.sets(st.sampled_from(["ab", 3, frozenset({0, 1})]), max_size=1))
+    return n, r, frozenset(edges)
+
+
+@given(_edge_sets())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_edge_check_matches_as_sset(args):
+    """The bulk edge check accepts exactly the edges as_sset leaves unchanged,
+    ragged, float, string, numpy and out-of-range ids included."""
+    n, r, edges = args
+    if _accepted_by_as_sset(n, r, edges):
+        assert Hypergraph(n, r, edges).edges == edges
+    else:
+        with pytest.raises(BadVertex):
+            Hypergraph(n, r, edges)
+
+
+def test_edge_check_is_exact_for_large_mixed_ids():
+    # numpy widens np.uint64 with a Python int to float64, where these are equal
+    edge = (np.uint64(2**53), 2**53 + 1)
+    assert Hypergraph(2**60, 2, frozenset({edge})).num_edges == 1
+    with pytest.raises(BadVertex):
+        Hypergraph(2**60, 2, frozenset({(np.uint64(2**53 + 1), 2**53 + 1)}))
 
 
 def test_complete_counts():

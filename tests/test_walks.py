@@ -1,7 +1,9 @@
 """Closed walk enumeration, censuses, moments, and the occurrence code."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -58,8 +60,6 @@ def test_enumerate_matches_census():
         cen = census(n, r, s, t)
         assert len(walks) == cen.total
         # every enumerated walk lands in its census cell
-        from collections import Counter
-
         cells = Counter(
             (len(w.distinct_edges()), len(set().union(*w.distinct_edges())))
             for w in walks
@@ -112,10 +112,66 @@ def test_good_only_is_a_filter():
 
 
 def test_budget_guard():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="visited 50 states.* finished 0 of 7 roots"):
         list(enumerate_closed_walks(7, 3, 1, 6, budget=50))
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="visited 50 states.* finished 0 of 1 roots"):
         census(7, 3, 1, 6, budget=50)
+    # each root of (5,2,1,2) takes 4 first steps and 4 closing ones
+    with pytest.raises(TooLarge, match="visited 17 states.* finished 2 of 5 roots"):
+        list(enumerate_closed_walks(5, 2, 1, 2, budget=17))
+
+
+# the grid the rooting identity (ROADMAP item 2(a)) was first checked on
+_ROOTING_GRID = [(6, 3, 1, 4), (7, 3, 1, 4), (7, 2, 1, 6), (9, 4, 2, 4), (6, 3, 1, 6)]
+
+
+@lru_cache(maxsize=None)
+def _from_every_root(n, r, s, t):
+    """(i, j) cells and multiplicity profiles of all good walks, counted on
+    the plain enumerator, which searches from every stop."""
+    cells, profiles = Counter(), Counter()
+    for w in enumerate_closed_walks(n, r, s, t, good_only=True):
+        cells[(len(w.distinct_edges()), len(set().union(*w.edges)))] += 1
+        profiles[tuple(sorted(w.edge_multiplicities().values()))] += 1
+    return cells, profiles
+
+
+@pytest.mark.parametrize("point", _ROOTING_GRID)
+def test_rooted_census_matches_every_root(point):
+    cells, _ = _from_every_root(*point)
+    got = census(*point).counts
+    assert got == cells
+    assert list(got) == list(cells)  # cells in first-met order, as before rooting
+
+
+@pytest.mark.parametrize("point", _ROOTING_GRID)
+def test_rooted_trace_matches_every_root(point):
+    _, profiles = _from_every_root(*point)
+    p = Fraction(1, 3)
+    want = sum(
+        cnt * math.prod(edge_moment(q, p) for q in prof)
+        for prof, cnt in profiles.items()
+    )
+    assert expected_trace(*point, p, exact=True) == want
+
+
+def test_census_without_stops_is_empty():
+    assert census(0, 2, 1, 2).counts == {}
+    assert census(1, 4, 2, 2).counts == {}
+    assert expected_trace(1, 4, 2, 2, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("point, p, want", [
+    ((6, 3, 1, 4), 0.3, 266.1119999999999),
+    ((7, 3, 1, 4), 0.3, 678.6989999999998),
+    ((7, 2, 1, 6), 0.3, 68.73866999999996),
+    ((9, 4, 2, 4), 0.3, 1392.3251999999995),
+    ((6, 3, 1, 6), 0.05, 255.73933499999998),
+])
+def test_expected_trace_float_bits_pinned(point, p, want):
+    """Float traces to the last bit, as the search from every stop gave them:
+    scaling each integer count, not the float total, keeps every bit."""
+    assert expected_trace(*point, p) == want
 
 
 def test_edge_moment():
@@ -157,8 +213,6 @@ def test_expected_trace_aggregation_matches_manual():
     """Recompute the t=4 trace from the census-by-multiplicity directly."""
     n, r, s, t = 6, 3, 1, 4
     p = Fraction(2, 5)
-    from collections import Counter
-
     by_profile = Counter()
     for w in enumerate_closed_walks(n, r, s, t, good_only=True):
         by_profile[tuple(sorted(w.edge_multiplicities().values()))] += 1
