@@ -51,5 +51,5 @@ print(f"\nmax |q - pi| after 5 steps from a point mass: "
       f"{np.abs(q - ts.stationary).max():.2e}")
 
 d = s_diameter(g)
-print(f"\nBFS diameter of the s-set graph: {d}")
+print(f"\nhop diameter of the s-set graph: {d}")
 print(f"spectral diameter bound: {diameter_bound(spec, h, s)}")

@@ -6,7 +6,6 @@ four-part perturbation split against the complete reference.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,52 +22,55 @@ from .errors import (
     NotLoose,
     ZeroDegree,
 )
-from .hypergraph import Hypergraph, _edge_array, degree_stats
+from .hypergraph import Hypergraph, degree_stats
 from .laplacian import AuxGraph, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
 
-def _kept_neighbors(g: AuxGraph) -> tuple[np.ndarray, list[np.ndarray]]:
+def _hop_diameter(g: AuxGraph) -> int | None:
+    """Largest hop distance among the positive-degree stops (0 for fewer
+    than two), or None when they are not one component.
+
+    R = A | I marks the pairs within one hop.  Square it until it is all
+    true, or until it stops growing (disconnected); then descend through
+    the stored powers R^(2^i) to the smallest k with R^k all true.  The
+    float32 products are exact: each entry counts paths, at most dim < 2**24.
+    """
     kept = np.flatnonzero(g.stop_degrees > 0)
-    adj = g.weights[np.ix_(kept, kept)] > 0
-    return kept, [np.flatnonzero(adj[i]) for i in range(kept.size)]
-
-
-def _bfs(nbrs: list[np.ndarray], src: int) -> np.ndarray:
-    dist = np.full(len(nbrs), -1, dtype=np.int64)
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    if kept.size < 2:
+        return 0
+    powers = [g.weights[np.ix_(kept, kept)] > 0]
+    np.fill_diagonal(powers[0], True)
+    while not powers[-1].all():
+        f = powers[-1].astype(np.float32)
+        nxt = (f @ f) > 0
+        if np.array_equal(nxt, powers[-1]):
+            return None
+        powers.append(nxt)
+    hops, cur = 0, None  # cur = R^hops, not all true; None stands for R^0 = I
+    for i in reversed(range(len(powers) - 1)):
+        nxt = powers[i] if cur is None else (
+            cur.astype(np.float32) @ powers[i].astype(np.float32)) > 0
+        if not nxt.all():
+            hops, cur = hops + 2**i, nxt
+    return hops + 1
 
 
 def is_connected(g: AuxGraph) -> bool:
     """True when every s-set has positive degree and the auxiliary graph
     is one component."""
-    kept, nbrs = _kept_neighbors(g)
-    if kept.size < g.dim or kept.size == 0:
-        return kept.size == g.dim == 0
-    return bool((_bfs(nbrs, 0) >= 0).all())
+    return bool((g.stop_degrees > 0).all()) and _hop_diameter(g) is not None
 
 
 def s_diameter(g: AuxGraph) -> int:
-    """Largest BFS eccentricity over the positive-degree part of the
-    auxiliary graph."""
-    kept, nbrs = _kept_neighbors(g)
-    if kept.size == 0:
+    """Largest s-distance, in hops, between two positive-degree stops of
+    the auxiliary graph."""
+    if not (g.stop_degrees > 0).any():
         raise Disconnected("auxiliary graph has no positive-degree stops")
-    best = 0
-    for src in range(kept.size):
-        dist = _bfs(nbrs, src)
-        if (dist < 0).any():
-            raise Disconnected("auxiliary graph is disconnected")
-        best = max(best, int(dist.max()))
-    return best
+    diam = _hop_diameter(g)
+    if diam is None:
+        raise Disconnected("auxiliary graph is disconnected")
+    return diam
 
 
 def diameter_bound(spec: Spectrum, h: Hypergraph, s: int) -> int:
@@ -201,7 +203,7 @@ def edge_expansion(
         raise EmptySample("hypergraph has no edges")
     rank_a = subset_ranks(list(fam_a), h.n, s)[:, 0]
     rank_b = subset_ranks(list(fam_b), h.n, s)[:, 0]
-    ranks = subset_ranks(_edge_array(h), h.n, s)
+    ranks = subset_ranks(h._edge_array, h.n, s)
     a, b = _disjoint_columns(h.r, s)
     hits = np.isin(ranks[:, a], rank_a) & np.isin(ranks[:, b], rank_b)
     hit = int(hits.any(axis=1).sum())
@@ -318,17 +320,11 @@ def perturbation_diagnostics(h: Hypergraph, s: int, p: float) -> PerturbationRep
     c = w - ew
     inv_sqrt = 1.0 / np.sqrt(g.stop_degrees.astype(np.float64))
     scale = np.outer(inv_sqrt, inv_sqrt)
-    ones = np.ones((cap_n, cap_n))
     rs = binom(r - s, s)
     m1 = (c * scale - c / d) / rs
     m2 = c / (rs * d)
-    m3 = (
-        (ew * scale) / rs
-        - (d / cap_n) * (ones * scale)
-        - kn / binom(n - s, s)
-        + ones / cap_n
-    )
-    m4 = (d * (ones * scale) - ones) / cap_n
+    m3 = (ew * scale) / rs - (d / cap_n) * scale - kn / binom(n - s, s) + 1 / cap_n
+    m4 = (d * scale - 1) / cap_n
     m = (w * scale) / rs - kn / binom(n - s, s)
     resid = float(np.abs(m - (m1 + m2 + m3 + m4)).max())
     norms = {

@@ -509,7 +509,7 @@ _SUBCOMMANDS = {
         "random-walk contraction factors vs lambda_bar",
         ("--n", "--r", "--s", "--steps", "--tol"), "any", 1, _run_mixing),
     "diameter": _Subcommand(
-        "BFS s-distance diameter vs the spectral bound",
+        "s-distance diameter vs the spectral bound",
         ("--n", "--r", "--s", "--tol"), "any", 1, _run_diameter),
     "expansion": _Subcommand(
         "edge counts between random s-set families vs the bound",

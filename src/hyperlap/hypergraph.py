@@ -25,13 +25,17 @@ class Hypergraph:
     n: int
     r: int
     edges: frozenset[SSet]
+    # the edges again, as read-only (m, r) int64 rows in the order of edges
+    _edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise BadParams(f"need n >= 0, got {self.n}")
         if self.r < 1:
             raise BadParams(f"need r >= 1, got {self.r}")
-        _check_edges(list(self.edges), self.n, self.r)
+        arr = _check_edges(list(self.edges), self.n, self.r)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_edge_array", arr)
 
     @property
     def num_edges(self) -> int:
@@ -46,9 +50,10 @@ class Hypergraph:
         return sum(1 for e in self.edges if want.issubset(e))
 
 
-def _check_edges(rows: list, n: int, r: int) -> None:
+def _check_edges(rows: list, n: int, r: int) -> np.ndarray:
     """Raise BadVertex unless every edge is what as_sset makes of it: a
-    tuple of r strictly increasing integer vertex ids in range(n).
+    tuple of r strictly increasing integer vertex ids in range(n); return
+    the edges as an (m, r) int64 array.
 
     Types and lengths are checked once per distinct value, and the ids as
     one (m, r) array.  numpy widens a mix of signed and unsigned ids to
@@ -70,11 +75,9 @@ def _check_edges(rows: list, n: int, r: int) -> None:
     bad = ((arr < 0) | (arr >= n)).any(axis=1) | (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
     if bad.any():
         raise BadVertex(f"edge {rows[bad.argmax()]} is not canonical over range({n})")
-
-
-def _edge_array(h: Hypergraph) -> np.ndarray:
-    """The edges of h as an (m, r) int array, one increasing row per edge."""
-    return np.array(list(h.edges), dtype=np.int64).reshape(-1, h.r)
+    if n > 2**63 and arr.size and arr.max() >= 2**63:
+        raise BadVertex("vertex ids past 2**63 - 1 do not fit the int64 edge array")
+    return arr.astype(np.int64, copy=False)
 
 
 def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -182,7 +185,7 @@ def degree_stats(h: Hypergraph, s: int, d_ref: float | None = None) -> DegreeSta
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={h.r}")
     if s > h.n:
         raise EmptySample(f"no {s}-sets on {h.n} vertices")
-    ranks = subset_ranks(_edge_array(h), h.n, s)
+    ranks = subset_ranks(h._edge_array, h.n, s)
     degs = np.bincount(ranks.ravel(), minlength=binom(h.n, s))
     return DegreeStats(s, degs, d_ref)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .combin import (EigenPair, _check_loose, _disjoint_columns, binom,
                      kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
-from .hypergraph import Hypergraph, _edge_array
+from .hypergraph import Hypergraph
 
 MAX_DENSE_DIM = 2048
 
@@ -80,7 +80,7 @@ def build_aux(h: Hypergraph, s: int, max_dim: int = MAX_DENSE_DIM) -> AuxGraph:
     dim = binom(h.n, s)
     if dim > max_dim:
         raise TooLarge(f"{dim} s-sets exceed the dense budget of {max_dim}")
-    ranks = subset_ranks(_edge_array(h), h.n, s)
+    ranks = subset_ranks(h._edge_array, h.n, s)
     a, b = _disjoint_columns(h.r, s)
     degrees = np.bincount(ranks.ravel(), minlength=dim)
     pairs = (ranks[:, a] * dim + ranks[:, b]).ravel()

@@ -1,9 +1,14 @@
 """Spectral applications: mixing, diameter, expansion, intersecting families."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from hyperlap import (
+    AuxGraph,
     BadParams,
     Disconnected,
     EmptyFamily,
@@ -50,6 +55,65 @@ def test_s_diameter_hand_cases():
     assert s_diameter(build_aux(TWO_TRIANGLES, 1)) == 2
     with pytest.raises(Disconnected):
         s_diameter(build_aux(SPLIT, 1))
+
+
+def _oracle(g):
+    """s_diameter's value or Disconnected message, and is_connected, from
+    scipy's unweighted shortest paths on the positive-degree stops."""
+    kept = np.flatnonzero(g.stop_degrees > 0)
+    if kept.size == 0:
+        return "auxiliary graph has no positive-degree stops", False
+    adj = csr_array(g.weights[np.ix_(kept, kept)] > 0)
+    dist = shortest_path(adj, directed=False, unweighted=True)
+    if not np.isfinite(dist).all():
+        return "auxiliary graph is disconnected", False
+    return int(dist.max()), kept.size == g.dim
+
+
+def _diameter_or_message(g):
+    try:
+        return s_diameter(g)
+    except Disconnected as e:
+        return str(e)
+
+
+def test_diameter_and_connectivity_match_shortest_paths():
+    kinds = set()
+    for n, r, p, seed in itertools.product(
+        (6, 8, 10, 13), (2, 3, 4), (0.05, 0.15, 0.4, 0.8), range(6)
+    ):
+        h = sample(RandomModel(n, r, p, seed))
+        for s in range(1, r // 2 + 1):
+            g = build_aux(h, s)
+            want, connected = _oracle(g)
+            assert (_diameter_or_message(g), is_connected(g)) == (want, connected)
+            kinds.add((type(want), connected))
+    # connected, disconnected, and a connected kept part beside zero-degree stops
+    assert kinds == {(int, True), (str, False), (int, False)}
+
+
+@pytest.mark.parametrize("n", [64, 257])
+def test_diameter_of_a_path(n):
+    g = build_aux(hypergraph(n, 2, [(i, i + 1) for i in range(n - 1)]), 1)
+    assert s_diameter(g) == n - 1
+    assert is_connected(g)
+
+
+def test_diameter_of_one_kept_stop():
+    lone = AuxGraph(3, 2, 1, np.zeros((3, 3), dtype=np.int64), np.array([0, 2, 0]))
+    assert s_diameter(lone) == 0
+    assert not is_connected(lone)
+    only = AuxGraph(1, 2, 1, np.zeros((1, 1), dtype=np.int64), np.array([1]))
+    assert s_diameter(only) == 0
+    assert is_connected(only)
+
+
+def test_diameter_without_kept_stops():
+    g = build_aux(hypergraph(6, 3, []), 1)
+    with pytest.raises(Disconnected, match="^auxiliary graph has no positive-degree stops$"):
+        s_diameter(g)
+    assert not is_connected(g)
+    assert is_connected(build_aux(hypergraph(0, 2, []), 1))
 
 
 def test_transition_system():
@@ -246,3 +310,47 @@ def test_perturbation_random():
         assert rep.identity_residual < 1e-9
         assert rep.triangle_holds
         assert all(v >= 0 for v in rep.ratios.values())
+
+
+# norms, identity residual and ratios of perturbation_diagnostics on
+# sample(RandomModel(n, r, p, 0)), which the diagnostics report prints in
+# full.  The residual is elementwise arithmetic and must match bit for bit.
+# The norms come from LAPACK, whose kernels differ in the last bits across
+# CPUs, so they get a relative 1e-12; perfbench's golden digests pin their
+# bits on the platform the digests were frozen on.
+_PERTURBATION_BITS = {
+    (48, 4, 2, 0.1): (
+        {"m": 0.18450500873811024, "m1": 0.017818715316683168,
+         "m2": 0.18680066916391538, "m3": 0.0032353817362268415,
+         "m4": 0.04632965800926801},
+        1.734723475976807e-18,
+        {"m1": 0.7332859845874967, "m2": 2.003214005045381,
+         "m3": 0.5959568854133133, "m4": 0.4968302318643755},
+    ),
+    (14, 4, 2, 0.5): (
+        {"m": 0.24631227330182812, "m1": 0.05204103537174667,
+         "m2": 0.2290441372799907, "m3": 0.03660235599704788,
+         "m4": 0.1176953610298034},
+        5.204170427930421e-18,
+        {"m1": 1.1435238202352729, "m2": 1.8607633676193556,
+         "m3": 1.3860037197365036, "m4": 0.9561616330536173},
+    ),
+    (16, 3, 1, 0.3): (
+        {"m": 0.18199324570734754, "m1": 0.05728665049795146,
+         "m2": 0.20878816427719685, "m3": 0.032394182008938836,
+         "m4": 0.1961393471983563},
+        1.3877787807814457e-17,
+        {"m1": 1.2953055840119319, "m2": 1.4005935846636164,
+         "m3": 1.7470267359451859, "m4": 1.315742740193873},
+    ),
+}
+
+
+@pytest.mark.parametrize("n, r, s, p", sorted(_PERTURBATION_BITS))
+def test_perturbation_float_bits_pinned(n, r, s, p):
+    norms, resid, ratios = _PERTURBATION_BITS[n, r, s, p]
+    rep = perturbation_diagnostics(sample(RandomModel(n, r, p, 0)), s, p)
+    assert rep.identity_residual == resid
+    assert rep.norms == pytest.approx(norms, rel=1e-12, abs=0)
+    assert rep.ratios == pytest.approx(ratios, rel=1e-12, abs=0)
+    assert rep.triangle_holds

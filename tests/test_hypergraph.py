@@ -105,6 +105,27 @@ def test_edge_check_is_exact_for_large_mixed_ids():
         Hypergraph(2**60, 2, frozenset({(np.uint64(2**53 + 1), 2**53 + 1)}))
 
 
+def test_edge_array_is_the_edges_read_only():
+    h = sample(RandomModel(9, 3, 0.4, 2))
+    arr = h._edge_array
+    assert arr.dtype == np.int64 and arr.shape == (h.num_edges, 3)
+    assert set(map(tuple, arr.tolist())) == h.edges
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 0
+    same = hypergraph(9, 3, sorted(h.edges, reverse=True))
+    assert same == h and hash(same) == hash(h)
+    assert "_edge_array" not in repr(h)
+    assert hypergraph(9, 3, [])._edge_array.shape == (0, 3)
+
+
+def test_edge_array_rejects_ids_past_int64():
+    edge = (np.uint64(2**63), np.uint64(2**63 + 1))
+    with pytest.raises(BadVertex):
+        Hypergraph(2**64, 2, frozenset({edge}))
+    assert Hypergraph(2**64, 2, frozenset({(0, 2**63 - 1)})).num_edges == 1
+
+
 def test_complete_counts():
     assert complete(4, 2).num_edges == 6
     assert complete(6, 3).num_edges == 20
