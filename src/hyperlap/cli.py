@@ -12,11 +12,11 @@ when --output is given, and byte-stable when re-run with identical flags
 Exit status: 0 when the run's check passes, 1 on a tolerance failure or a
 trial-level error (reported as a structured record), 2 on a usage error.
 A bad parameter value -- --p outside (0, 1), a negative --n or --seed, a
-budget below 1, a HYPERLAP_BUDGET that is not a positive integer, --bins
-below 1 or --family-frac outside (0, 1] -- is a usage error that still
-emits a structured BadParams document.  So is an r outside [1, n] or a
-stop size that is not loose, wherever n and r do not come from --input
-(walk-count included).
+budget below 1, a HYPERLAP_BUDGET that is not a positive integer,
+--trials, --bins or --steps below 1, or --family-frac outside (0, 1] -- is
+a usage error that still emits a structured BadParams document.  So is an
+r outside [1, n] or a stop size that is not loose, wherever n and r do not
+come from --input (walk-count included).
 """
 
 from __future__ import annotations
@@ -120,20 +120,6 @@ def trial_seed(base: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _map_trials(cfg: ExperimentConfig, fn: Callable[[int, int], dict]) -> list[dict]:
-    """Run fn(trial, derived_seed) for every trial, results in trial order.
-
-    Module errors become structured records instead of aborting the run.
-    """
-    records = []
-    for k in range(cfg.trials):
-        try:
-            records.append(fn(k, trial_seed(cfg.seed, k)))
-        except HyperlapError as exc:
-            records.append({"trial": k, "error": type(exc).__name__, "message": str(exc)})
-    return records
-
-
 def _trials(
     cfg: ExperimentConfig, body: Callable[[int, Hypergraph], dict], ok: Callable[[dict], bool]
 ) -> tuple[list[dict], list[dict], int]:
@@ -141,20 +127,25 @@ def _trials(
 
     A record is {"trial": k, **body(k, h)} plus "seed" when h was sampled.
     --p-only subcommands always sample and put the seed right after the
-    trial; the others append it.  passes counts the good records that ok
-    accepts; the run passes when it equals --trials.
+    trial; the others append it.  Module errors become {"trial": k,
+    "error", "message"} records instead of aborting the run.  passes
+    counts the good records that ok accepts; the run passes when it
+    equals --trials.
     """
     sampled = not (cfg.use_complete or cfg.input_path)
     lead = _SUBCOMMANDS[cfg.subcommand].source == "p"
-
-    def one(k: int, seed: int) -> dict:
+    records = []
+    for k in range(cfg.trials):
+        seed = trial_seed(cfg.seed, k)
         head = {"trial": k, "seed": seed} if lead else {"trial": k}
-        rec = {**head, **body(k, _instance(cfg, seed))}
+        try:
+            rec = {**head, **body(k, _instance(cfg, seed))}
+        except HyperlapError as exc:
+            records.append({"trial": k, "error": type(exc).__name__, "message": str(exc)})
+            continue
         if sampled and not lead:
             rec["seed"] = seed
-        return rec
-
-    records = _map_trials(cfg, one)
+        records.append(rec)
     good = [rec for rec in records if "error" not in rec]
     return records, good, sum(bool(ok(rec)) for rec in good)
 
@@ -177,14 +168,16 @@ def _laplacian_of(h: Hypergraph, s: int) -> Laplacian:
 
 
 def _run_spectrum(cfg: ExperimentConfig):
+    h = _instance(cfg, trial_seed(cfg.seed, 0))
+    lap = _laplacian_of(h, cfg.s)
+    spec = eigenvalues_sym(lap.matrix)
+    if cfg.dump_path:
+        with open(cfg.dump_path, "w") as fh:
+            dump_matrix(lap.matrix, fh)
     if cfg.use_complete:
         pairs = complete_spectrum(cfg.n, cfg.r, cfg.s)
-        lap = _laplacian_of(complete(cfg.n, cfg.r), cfg.s)
-        spec = eigenvalues_sym(lap.matrix)
         closed = np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
         err = float(np.max(np.abs(closed - spec.values)))
-        if cfg.dump_path:
-            _dump_to(cfg.dump_path, lap)
         records = [
             {"value": e.value, "multiplicity": e.multiplicity} for e in pairs
         ]
@@ -195,11 +188,6 @@ def _run_spectrum(cfg: ExperimentConfig):
             "excluded": int(lap.excluded.size),
         }
         return records, summary, err <= cfg.tol
-    h = _instance(cfg, trial_seed(cfg.seed, 0))
-    lap = _laplacian_of(h, cfg.s)
-    spec = eigenvalues_sym(lap.matrix)
-    if cfg.dump_path:
-        _dump_to(cfg.dump_path, lap)
     records = [{"k": i, "value": float(v)} for i, v in enumerate(spec.values)]
     summary = {
         "dim": spec.dim,
@@ -212,11 +200,6 @@ def _run_spectrum(cfg: ExperimentConfig):
         summary["lambda_max"] = spec.lambda_max
         summary["lambda_bar"] = spec.lambda_bar
     return records, summary, True
-
-
-def _dump_to(path: str, lap: Laplacian) -> None:
-    with open(path, "w") as fh:
-        dump_matrix(lap.matrix, fh)
 
 
 def _radius_reference(n: int, r: int, s: int, p: float, slack: float) -> float:
@@ -253,17 +236,14 @@ def _run_semicircle(cfg: ExperimentConfig):
         * (1.0 - cfg.p)
     )
 
-    def one(k: int, seed: int) -> dict:
-        c = centered_weight(_instance(cfg, seed), cfg.s, cfg.p)
-        scaled = scaled_ecdf(eigenvalues_sym(c), 0.0, radius)
-        return {"trial": k, "points": scaled.points}
+    def one(k: int, h: Hypergraph) -> dict:
+        c = centered_weight(h, cfg.s, cfg.p)
+        return {"points": scaled_ecdf(eigenvalues_sym(c), 0.0, radius).points}
 
-    per_trial = _map_trials(cfg, one)
-    errors = [rec for rec in per_trial if "error" in rec]
+    per_trial, good, _ = _trials(cfg, one, lambda rec: True)
+    errors = len(per_trial) - len(good)
     # an empty pool (every trial errored) still gets a complete report
-    pooled = np.concatenate(
-        [np.empty(0)] + [rec["points"] for rec in per_trial if "points" in rec]
-    )
+    pooled = np.concatenate([np.empty(0)] + [rec["points"] for rec in good])
     ks = ks_distance(Ecdf(pooled), semicircle_cdf) if pooled.size else None
     lo, hi = -1.25, 1.25
     counts, edges = np.histogram(pooled, bins=cfg.bins, range=(lo, hi))
@@ -274,7 +254,7 @@ def _run_semicircle(cfg: ExperimentConfig):
     ]
     summary = {
         "trials": cfg.trials,
-        "errors": len(errors),
+        "errors": errors,
         "pooled": int(pooled.size),
         "outside_range": int(pooled.size - counts.sum()),
         "radius": radius,
@@ -543,8 +523,12 @@ def _check_params(cfg: ExperimentConfig) -> None:
         raise BadParams(f"need n >= 0, got {cfg.n}")
     if cfg.p is not None and not 0 < cfg.p < 1:
         raise BadParams(f"need 0 < p < 1, got {cfg.p}")
+    if cfg.trials < 1:
+        raise BadParams(f"need trials >= 1, got {cfg.trials}")
     if cfg.bins < 1:
         raise BadParams(f"need bins >= 1, got {cfg.bins}")
+    if cfg.steps < 1:
+        raise BadParams(f"need steps >= 1, got {cfg.steps}")
     if not 0 < cfg.family_frac <= 1:
         raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
     walks = cfg.subcommand == "walk-count"
@@ -678,8 +662,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{cfg.subcommand} needs --complete, --input, or --p")
         if (cfg.use_complete or cfg.input_path) and cfg.trials > 1:
             parser.error("--trials > 1 only makes sense with --p")
-    if cfg.trials < 1:
-        parser.error("--trials must be at least 1")
 
     try:
         report = run(cfg)

@@ -74,12 +74,12 @@ class AuxGraph:
         return int(self.degrees.sum())
 
 
-def build_aux(h: Hypergraph, s: int, max_dim: int = MAX_DENSE_DIM) -> AuxGraph:
+def build_aux(h: Hypergraph, s: int) -> AuxGraph:
     """Assemble the dense auxiliary weight matrix of h at stop size s."""
     _check_loose(h.r, s)
     dim = binom(h.n, s)
-    if dim > max_dim:
-        raise TooLarge(f"{dim} s-sets exceed the dense budget of {max_dim}")
+    if dim > MAX_DENSE_DIM:
+        raise TooLarge(f"{dim} s-sets exceed the dense budget of {MAX_DENSE_DIM}")
     ranks = subset_ranks(h._edge_array, h.n, s)
     a, b = _disjoint_columns(h.r, s)
     degrees = np.bincount(ranks.ravel(), minlength=dim)
@@ -128,15 +128,13 @@ def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
     return sorted(pairs, key=lambda pr: pr.value)
 
 
-def centered_weight(
-    h: Hypergraph, s: int, p: float, max_dim: int = MAX_DENSE_DIM
-) -> SymMatrix:
+def centered_weight(h: Hypergraph, s: int, p: float) -> SymMatrix:
     """W minus its Bernoulli(p) expectation C(n-2s, r-2s) p K, with K the
     Kneser adjacency on s-sets."""
     _check_loose(h.r, s)
     if not 0 <= p <= 1:
         raise BadParams(f"probability must lie in [0, 1], got {p}")
-    g = build_aux(h, s, max_dim=max_dim)
+    g = build_aux(h, s)
     c = g.weights.astype(np.float64)
     if h.n >= 2 * s:
         coef = binom(h.n - 2 * s, h.r - 2 * s) * p

@@ -29,10 +29,9 @@ ZERO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a symmetric matrix, ascending, with zero tolerance."""
+    """Eigenvalues of a symmetric matrix, ascending."""
 
     values: np.ndarray = field(repr=False)
-    zero_tol: float = ZERO_TOL
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -40,8 +39,6 @@ class Spectrum:
             raise DimMismatch(f"expected a vector of eigenvalues, got shape {v.shape}")
         if v.size > 1 and np.any(np.diff(v) < 0):
             raise BadParams("eigenvalues must be ascending")
-        if self.zero_tol <= 0:
-            raise BadParams(f"zero_tol must be positive, got {self.zero_tol}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -50,8 +47,8 @@ class Spectrum:
 
     @property
     def trivial_count(self) -> int:
-        """Number of eigenvalues within zero_tol of zero."""
-        return int((np.abs(self.values) <= self.zero_tol).sum())
+        """Number of eigenvalues within ZERO_TOL of zero."""
+        return int((np.abs(self.values) <= ZERO_TOL).sum())
 
     @property
     def lambda1(self) -> float:
@@ -85,31 +82,27 @@ def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
     return a
 
 
-def eigenvalues_sym(m: SymMatrix | np.ndarray, zero_tol: float = ZERO_TOL) -> Spectrum:
+def eigenvalues_sym(m: SymMatrix | np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, ascending."""
     a = _as_array(m)
     if a.size == 0:
-        return Spectrum(np.zeros(0), zero_tol)
+        return Spectrum(np.zeros(0))
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFail(f"symmetric eigensolver failed: {exc}") from exc
-    return Spectrum(vals, zero_tol)
+    return Spectrum(vals)
 
 
-def spectral_radius(spec: Spectrum, zero_tol: float | None = None) -> float:
+def spectral_radius(spec: Spectrum) -> float:
     """Nontrivial spectral radius max(1 - lambda1, lambda_max - 1).
 
     Only defined for the Laplacian of a connected auxiliary graph, i.e.
-    exactly one eigenvalue within zero_tol of zero.
+    exactly one eigenvalue within ZERO_TOL of zero.
     """
-    tol = spec.zero_tol if zero_tol is None else zero_tol
-    if tol <= 0:
-        raise BadParams(f"zero_tol must be positive, got {tol}")
-    trivial = int((np.abs(spec.values) <= tol).sum())
-    if trivial != 1:
+    if spec.trivial_count != 1:
         raise Disconnected(
-            f"expected exactly one near-zero eigenvalue, found {trivial}"
+            f"expected exactly one near-zero eigenvalue, found {spec.trivial_count}"
         )
     return spec.lambda_bar
 
@@ -160,17 +153,6 @@ class Ecdf:
             raise BadParams("sample has non-finite points")
         object.__setattr__(self, "points", p)
 
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-    def evaluate(self, x) -> float | np.ndarray:
-        """Fraction of sample points <= x."""
-        out = np.searchsorted(self.points, np.asarray(x), side="right") / self.size
-        if np.isscalar(x):
-            return float(out)
-        return out
-
 
 def scaled_ecdf(spec: Spectrum | np.ndarray, center: float, radius: float) -> Ecdf:
     """Empirical CDF of (values - center) / radius."""
@@ -180,20 +162,16 @@ def scaled_ecdf(spec: Spectrum | np.ndarray, center: float, radius: float) -> Ec
     return Ecdf((vals - center) / radius)
 
 
-def ks_distance(sample: Ecdf | np.ndarray, cdf: Callable) -> float:
+def ks_distance(sample: Ecdf, cdf: Callable) -> float:
     """Kolmogorov-Smirnov distance between a sample and a reference CDF.
 
     sup_x |F_m(x) - F(x)| computed exactly at the jump points:
     max_i max(i/m - F(x_i), F(x_i) - (i-1)/m) over the sorted sample.
+    cdf must accept the array of sorted points and return an array of the
+    same shape, as semicircle_cdf does.
     """
-    ec = sample if isinstance(sample, Ecdf) else Ecdf(sample)
-    pts = ec.points
-    try:
-        ref = np.asarray(cdf(pts), dtype=np.float64)
-        if ref.shape != pts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ref = np.array([float(cdf(x)) for x in pts])
+    pts = sample.points
+    ref = np.asarray(cdf(pts), dtype=np.float64)
     m = pts.size
     hi = np.arange(1, m + 1) / m
     lo = np.arange(0, m) / m

@@ -4,10 +4,13 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperlap import load_matrix, write_hypergraph, complete
+from hyperlap import (RandomModel, build_aux, complete, load_matrix,
+                      normalized_laplacian, read_hypergraph, sample,
+                      write_hypergraph)
 from hyperlap.cli import ExperimentConfig, main, run, trial_seed
 
 
@@ -140,6 +143,30 @@ def test_dump_matrix_flag(tmp_path):
     assert m.entries[0, 0] == 1.0
 
 
+def test_dump_matrix_sampled_and_input(tmp_path):
+    """--p and --input dump the Laplacian of the very instance they report on."""
+    path = tmp_path / "h.txt"
+    with open(path, "w") as fh:
+        write_hypergraph(sample(RandomModel(9, 3, 0.4, 5)), fh)
+    with open(path) as fh:
+        from_file = read_hypergraph(fh)
+    cases = [
+        (["--p", "0.4", "--seed", "3"], sample(RandomModel(9, 3, 0.4, trial_seed(3, 0)))),
+        (["--input", str(path)], from_file),
+    ]
+    for source, h in cases:
+        dump = tmp_path / "lap.txt"
+        code = main(["spectrum", "--n", "9", "--r", "3", "--s", "1", *source,
+                     "--deterministic", "--dump-matrix", str(dump),
+                     "--output", str(tmp_path / "out.json")])
+        assert code == 0
+        with open(dump) as fh:
+            m = load_matrix(fh)
+        want = normalized_laplacian(build_aux(h, 1)).matrix.entries
+        assert m.dim > 0
+        assert np.array_equal(m.entries, want)
+
+
 def test_input_fixture(tmp_path, capsys):
     path = tmp_path / "h.txt"
     with open(path, "w") as fh:
@@ -185,6 +212,9 @@ def _run(argv, capsys):
     ["monotonicity", "--n", "3", "--r", "4", "--complete"],
     ["walk-count", "--n", "3", "--r", "4", "--s", "1", "--t", "2"],
     ["walk-count", "--n", "0", "--r", "2", "--s", "1", "--t", "2"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "0"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--steps", "0",
+     "--trials", "2"],
 ])
 def test_bad_value_is_a_bad_params_document(argv, capsys):
     code, doc = _run(argv, capsys)

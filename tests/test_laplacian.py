@@ -58,8 +58,9 @@ def test_build_aux_empty():
 def test_build_aux_rejects_tight():
     with pytest.raises(NotLoose):
         build_aux(complete(6, 4), 3)
-    with pytest.raises(TooLarge):
-        build_aux(complete(30, 4), 2, max_dim=100)
+    # C(65, 2) = 2080 s-sets, past the 2048 dense cap
+    with pytest.raises(TooLarge, match="2080.*2048"):
+        build_aux(hypergraph(65, 4, []), 2)
 
 
 @given(st.data())

@@ -27,6 +27,7 @@ from hyperlap import (
     spectral_norm,
     spectral_radius,
 )
+from hyperlap.spectra import ZERO_TOL
 
 
 def test_eigenvalues_tiny():
@@ -73,6 +74,21 @@ def test_spectrum_fields():
     assert spec.lambda1 == 0.5
     assert spec.lambda_max == 1.5
     assert spec.lambda_bar == 0.5
+
+
+def test_trivial_count_threshold():
+    assert Spectrum(np.array([0.5 * ZERO_TOL, 1.0])).trivial_count == 1
+    assert Spectrum(np.array([2 * ZERO_TOL, 1.0])).trivial_count == 0
+    assert Spectrum(np.array([-0.5 * ZERO_TOL, 0.5 * ZERO_TOL, 1.0])).trivial_count == 2
+
+
+@pytest.mark.parametrize("values, count", [
+    ([2 * ZERO_TOL, 1.0, 1.5], 0),
+    ([0.0, 0.5 * ZERO_TOL, 1.5], 2),
+])
+def test_spectral_radius_needs_one_trivial(values, count):
+    with pytest.raises(Disconnected, match=f"found {count}$"):
+        spectral_radius(Spectrum(np.array(values)))
 
 
 def test_spectral_radius_complete():
