@@ -45,6 +45,7 @@ from .hypergraph import (
 )
 from .laplacian import (
     Laplacian,
+    _dense_dim,
     build_aux,
     complete_spectrum,
     centered_weight,
@@ -153,9 +154,16 @@ def _trials(
 def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
     """One hypergraph from --input, --complete, or the seeded random model."""
     if cfg.input_path:
-        with open(cfg.input_path) as fh:
-            return read_hypergraph(fh)
+        try:
+            with open(cfg.input_path) as fh:
+                return read_hypergraph(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BadParams(f"cannot read --input: {exc}") from exc
     if cfg.use_complete:
+        # the dense cap needs only n and s, so check it before C(n,r) edges
+        # are built: at --s, or at s = 1 .. r/2 in order for monotonicity
+        for s in [cfg.s] if cfg.s is not None else range(1, cfg.r // 2 + 1):
+            _dense_dim(cfg.n, s)
         return complete(cfg.n, cfg.r)
     return sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), cfg.budget)
 

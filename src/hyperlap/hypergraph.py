@@ -197,12 +197,19 @@ def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
         fh.write(" ".join(str(v) for v in e) + "\n")
 
 
+def _ints(fields: list[str], where: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise BadParams(f"{where} has a non-integer token in {fields!r}") from exc
+
+
 def read_hypergraph(fh: IO[str]) -> Hypergraph:
     """Parse the text format written by write_hypergraph."""
     header = fh.readline().split()
     if len(header) != 3:
         raise BadParams(f"header must be 'n r m', got {header!r}")
-    n, r, m = (int(x) for x in header)
+    n, r, m = _ints(header, "header")
     edges = []
     for k in range(m):
         line = fh.readline().split()
@@ -210,7 +217,7 @@ def read_hypergraph(fh: IO[str]) -> Hypergraph:
             raise BadParams(f"header promises {m} edges, file ends after {k}")
         if len(line) != r:
             raise BadVertex(f"edge line {k + 1} has {len(line)} fields, expected {r}")
-        edges.append([int(x) for x in line])
+        edges.append(_ints(line, f"edge line {k + 1}"))
     got = hypergraph(n, r, edges)
     if got.num_edges != m:
         raise BadParams(f"header promises {m} edges, file holds {got.num_edges}")

@@ -74,12 +74,19 @@ class AuxGraph:
         return int(self.degrees.sum())
 
 
+def _dense_dim(n: int, s: int) -> int:
+    """C(n,s), the dimension of the dense matrices on the s-sets of range(n),
+    or TooLarge past MAX_DENSE_DIM; it needs no hypergraph to check."""
+    dim = binom(n, s)
+    if dim > MAX_DENSE_DIM:
+        raise TooLarge(f"{dim} s-sets exceed the dense budget of {MAX_DENSE_DIM}")
+    return dim
+
+
 def build_aux(h: Hypergraph, s: int) -> AuxGraph:
     """Assemble the dense auxiliary weight matrix of h at stop size s."""
     _check_loose(h.r, s)
-    dim = binom(h.n, s)
-    if dim > MAX_DENSE_DIM:
-        raise TooLarge(f"{dim} s-sets exceed the dense budget of {MAX_DENSE_DIM}")
+    dim = _dense_dim(h.n, s)
     ranks = subset_ranks(h._edge_array, h.n, s)
     a, b = _disjoint_columns(h.r, s)
     degrees = np.bincount(ranks.ravel(), minlength=dim)

@@ -79,6 +79,8 @@ def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
         raise DimMismatch("matrix is not symmetric")
+    if not np.isfinite(a).all():
+        raise BadParams("matrix has non-finite entries")
     return a
 
 

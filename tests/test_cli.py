@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hyperlap import (RandomModel, build_aux, complete, load_matrix,
                       normalized_laplacian, read_hypergraph, sample,
                       write_hypergraph)
+import hyperlap.cli as cli
 from hyperlap.cli import ExperimentConfig, main, run, trial_seed
 
 
@@ -260,6 +261,49 @@ def test_semicircle_every_trial_errors(capsys):
     assert doc["summary"]["pooled"] == 0
     assert doc["summary"]["ks_distance"] is None
     assert len(doc["records"]) == 40
+
+
+def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
+    """C(65, 2) = 2080 stops exceed the dense cap, so --complete fails before
+    it builds C(65, 4) edges, with the report it gave after building them."""
+
+    def no_complete(n, r):
+        raise AssertionError(f"complete({n}, {r}) built past the dense cap")
+
+    monkeypatch.setattr(cli, "complete", no_complete)
+    too_large = {"error": "TooLarge",
+                 "message": "2080 s-sets exceed the dense budget of 2048"}
+    code, doc = _run(["spectrum", "--complete", "--n", "65", "--r", "4", "--s", "2"],
+                     capsys)
+    assert code == 2
+    assert doc["records"] == [] and doc["summary"] == too_large
+    # monotonicity passes s = 1 (65 stops) and fails at s = 2
+    code, doc = _run(["monotonicity", "--complete", "--n", "65", "--r", "4"], capsys)
+    assert code == 1
+    assert doc["records"] == [{"trial": 0, **too_large}]
+    assert doc["summary"] == {"trials": 1, "holds": 0}
+
+
+@pytest.mark.parametrize("data", [None, b"x 2 1\n0 1\n", b"5 2 1\n0 1.5\n",
+                                  b"\xff 2 1\n0 1\n"],
+                         ids=["missing", "header-token", "edge-token", "not-utf8"])
+@pytest.mark.parametrize("sub", ["spectrum", "mixing"])
+def test_bad_input_file_is_reported(sub, data, tmp_path, capsys):
+    """An --input that cannot be read, or a non-integer token in it, is a
+    BadParams report: the setup document for spectrum, a per-trial record
+    for a trial runner."""
+    path = tmp_path / "h.txt"
+    if data is not None:
+        path.write_bytes(data)
+    code, doc = _run([sub, "--n", "5", "--r", "2", "--s", "1", "--input", str(path)],
+                     capsys)
+    if sub == "spectrum":
+        assert code == 2
+        assert doc["records"] == [] and doc["summary"]["error"] == "BadParams"
+    else:
+        assert code == 1
+        assert [rec["error"] for rec in doc["records"]] == ["BadParams"]
+    assert doc["pass"] is False
 
 
 def test_tol_rejected_where_unused():

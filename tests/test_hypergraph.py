@@ -252,3 +252,10 @@ def test_read_rejects_duplicates_and_bad_counts():
         read_hypergraph(io.StringIO("5 2 2\n0 1\n"))
     with pytest.raises(BadParams):
         read_hypergraph(io.StringIO("5 2\n"))
+
+
+@pytest.mark.parametrize("text", ["x 2 1\n0 1\n", "5 2 1.5\n0 1\n", "5 2 1\n0 x\n",
+                                  "5 2 1\n0 1.5\n"])
+def test_read_rejects_non_integer_tokens(text):
+    with pytest.raises(BadParams, match="non-integer token"):
+        read_hypergraph(io.StringIO(text))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hyperlap import (
+    BadParams,
     BadRadius,
     DimMismatch,
     Disconnected,
@@ -44,6 +45,14 @@ def test_eigenvalues_empty():
 def test_eigenvalues_rejects_asymmetric():
     with pytest.raises(DimMismatch):
         eigenvalues_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [eigenvalues_sym, spectral_norm])
+def test_bare_array_rejects_non_finite(solve, bad):
+    """A bare array is held to SymMatrix's rule, not solved into nan."""
+    with pytest.raises(BadParams, match="non-finite"):
+        solve(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("dim", [5, 40, 400])

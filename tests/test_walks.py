@@ -14,6 +14,7 @@ from hyperlap import (
     BadParams,
     ClosedWalk,
     NotGood,
+    NotLoose,
     TooLarge,
     WalkCode,
     binom,
@@ -29,6 +30,7 @@ from hyperlap import (
     tree_walk_count,
     walk_from_code,
 )
+import hyperlap.walks as walks
 
 
 def test_walk_validation():
@@ -119,6 +121,33 @@ def test_budget_guard():
     # each root of (5,2,1,2) takes 4 first steps and 4 closing ones
     with pytest.raises(TooLarge, match="visited 17 states.* finished 2 of 5 roots"):
         list(enumerate_closed_walks(5, 2, 1, 2, budget=17))
+
+
+_WALK_ENTRIES = [
+    lambda n, r, s, t: list(enumerate_closed_walks(n, r, s, t)),
+    lambda n, r, s, t: census(n, r, s, t),
+    lambda n, r, s, t: expected_trace(n, r, s, t, 0.5),
+]
+
+
+@pytest.mark.parametrize("entry", _WALK_ENTRIES, ids=["enumerate", "census", "trace"])
+def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
+    """Every public walk function rejects a non-loose s, then t < 1, before
+    it builds any walk table."""
+
+    def no_tables(*args):
+        raise AssertionError(f"_tables{args} built for a rejected call")
+
+    monkeypatch.setattr(walks, "_tables", no_tables)
+    for s in (-1, 0, 3):  # r = 4: below 1, and r/2 + 1
+        with pytest.raises(NotLoose):
+            entry(5, 4, s, 2)
+    with pytest.raises(NotLoose):
+        entry(40, 6, 4, 2)  # C(40, 6) r-sets would take seconds to tabulate
+    with pytest.raises(NotLoose):
+        entry(5, 4, 0, 0)  # s is checked before t
+    with pytest.raises(BadParams, match="walk length must be >= 1, got 0"):
+        entry(5, 4, 2, 0)
 
 
 # the grid the rooting identity (ROADMAP item 2(a)) was first checked on
