@@ -20,7 +20,7 @@ import numpy as np
 from .combin import (EigenPair, _check_loose, _disjoint_columns, binom,
                      kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _ints
 
 MAX_DENSE_DIM = 2048
 
@@ -166,7 +166,7 @@ def load_matrix(fh: IO[str]) -> SymMatrix:
     header = fh.readline().split()
     if len(header) != 1:
         raise DimMismatch(f"expected a lone dimension header, got {header!r}")
-    dim = int(header[0])
+    (dim,) = _ints(header, "header")
     if dim < 0:
         raise DimMismatch(f"dimension must be nonnegative, got {dim}")
     a = np.zeros((dim, dim))
@@ -174,7 +174,12 @@ def load_matrix(fh: IO[str]) -> SymMatrix:
         row = fh.readline().split()
         if len(row) != i + 1:
             raise DimMismatch(f"row {i} has {len(row)} entries, expected {i + 1}")
-        vals = [float(x) for x in row]
+        try:
+            vals = [float(x) for x in row]
+        except ValueError as exc:
+            raise BadParams(
+                f"line {i + 2} (row {i}) has a non-float token in {row!r}"
+            ) from exc
         a[i, : i + 1] = vals
         a[: i + 1, i] = vals
     return SymMatrix(a)

@@ -20,6 +20,13 @@ census and expected_trace therefore count only the walks from stop rank 0
 (_rooted_counts) and multiply each integer count by C(n,s) before any
 float arithmetic, so their results are the same, bit for bit, as a search
 from every stop.  enumerate_closed_walks still yields every walk.
+
+Where the walk axioms are checked: a ClosedWalk built by a caller is
+checked by its constructor, once per call.  The walks that
+enumerate_closed_walks yields are checked once per table instead: every
+step of every walk, the closing step included, is a step of the successor
+table, so _check_tables verifies each step of the table once per (n, r, s)
+and the walks are then built without re-validation (ClosedWalk._trusted).
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,7 +73,40 @@ def _tables(n: int, r: int, s: int) -> _Tables:
     rsets = tuple(map(tuple, rarr.tolist()))
     # Python-int bitmasks, so vertex ids past 63 still get their own bit
     rmask = tuple((1 << rarr.astype(object)).sum(axis=1).tolist())
-    return _Tables(ssets, rsets, rmask, succ)
+    tab = _Tables(ssets, rsets, rmask, succ)
+    _check_tables(tab, r, s)
+    return tab
+
+
+def _set_masks(sets: Sequence[SSet], size: int) -> np.ndarray:
+    """Bitmasks of sets that must all be sorted size-sets, as Python ints."""
+    masks = []
+    for v in sets:
+        if len(v) != size or any(x >= y for x, y in zip(v, v[1:])):
+            raise RuntimeError(f"walk table holds {v}, not a sorted {size}-set")
+        masks.append(sum(1 << x for x in v))
+    return np.array(masks, dtype=object)
+
+
+def _check_tables(tab: _Tables, r: int, s: int) -> None:
+    """The walk axioms, once for every step a walk can take: stops are
+    sorted s-sets, edges sorted r-sets, and each step (a, b, j) of succ joins
+    disjoint stops a and b inside edge j.  The masks are rebuilt from the
+    tuples that walks are made of, not read from rmask.  Raises
+    RuntimeError, not assert, so that python -O keeps the check."""
+    smask = _set_masks(tab.ssets, s)
+    emask = _set_masks(tab.rsets, r)
+    a = np.repeat(np.arange(len(smask)), list(map(len, tab.succ)))
+    steps = chain.from_iterable(chain.from_iterable(tab.succ))
+    b, j = np.fromiter(steps, dtype=np.int64).reshape(-1, 2).T
+    sa, sb = smask[a], smask[b]
+    bad = np.flatnonzero((sa & sb) | ((sa | sb) & ~emask[j]))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(
+            f"walk table step {tab.ssets[a[k]]} -> {tab.ssets[b[k]]} over "
+            f"{tab.rsets[j[k]]}: stops not disjoint or not inside the edge"
+        )
 
 
 def _checked_tables(
@@ -170,8 +210,9 @@ class ClosedWalk:
     """A closed s-walk: stops S_1..S_t and linking edges F_1..F_t.
 
     F_i links S_i to S_{i+1}, with F_t closing back to S_1.  Stops and
-    edges are canonical sorted vertex tuples; the walk axioms are checked
-    on construction.
+    edges are canonical sorted vertex tuples.  The constructor checks the
+    walk axioms on every call; the walks of enumerate_closed_walks skip it,
+    because their successor table was checked once (_check_tables).
     """
 
     stops: tuple[SSet, ...]
@@ -195,6 +236,14 @@ class ClosedWalk:
                 raise BadParams(f"adjacent stops {i} and {(i + 1) % t} intersect")
             if not (a | b) <= set(self.edges[i]):
                 raise BadParams(f"stops around step {i} not inside the linking edge")
+
+    @classmethod
+    def _trusted(cls, stops: tuple[SSet, ...], edges: tuple[SSet, ...]) -> ClosedWalk:
+        """A walk built from a checked table's steps, without __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "stops", stops)
+        object.__setattr__(w, "edges", edges)
+        return w
 
     @property
     def length(self) -> int:
@@ -221,10 +270,9 @@ def enumerate_closed_walks(
     """All closed s-walks of length t in the complete r-uniform hypergraph
     on range(n), in deterministic colex-driven order."""
     tab, limit = _checked_tables(n, r, s, t, budget)
-    for sidx, eidx in _raw_walks(tab, t, good_only, limit, len(tab.ssets)):
-        yield ClosedWalk(
-            tuple(tab.ssets[a] for a in sidx), tuple(tab.rsets[j] for j in eidx)
-        )
+    ssets, rsets, walk = tab.ssets, tab.rsets, ClosedWalk._trusted
+    for sidx, eidx in _raw_walks(tab, t, good_only, limit, len(ssets)):
+        yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
 
 
 def _rooted_counts(
@@ -371,24 +419,24 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
     discounted sum of (d'_S - 1) over all s-subsets of the edges is bounded
     by (1 + (2/s) C(r, s-1)) * (s + i(r-s) - j), j the number of distinct
     vertices.  The comparison is done in exact integer arithmetic.
+
+    Computed as counts: the degrees sum to i * C(r, s), so the sum of
+    (d_S - 1) is that minus the number of distinct s-subsets.
     """
-    if not w.is_good:
+    mult = Counter(w.edges)  # distinct edges in first-occurrence order
+    if min(mult.values()) < 2:
         raise NotGood("walk has a single-occurrence edge")
     s = len(w.stops[0])
     r = len(w.edges[0])
-    order = w.distinct_edges()
-    i = len(order)
-    degs: dict[SSet, int] = {}
-    for f in order:
-        for sub in combinations(f, s):
-            degs[sub] = degs.get(sub, 0) + 1
+    i = len(mult)
+    subsets: set[SSet] = set()
+    seen: set[int] = set()
     forward = 0
-    seen = set(order[0])
-    for f in order[1:]:
-        if sum(1 for v in f if v in seen) == s:
-            forward += 1
+    for f in mult:
+        forward += len(seen.intersection(f)) == s
         seen.update(f)
-    lhs = sum(d - 1 for d in degs.values()) - forward
+        subsets.update(combinations(f, s))
+    lhs = i * binom(r, s) - len(subsets) - forward
     j = len(seen)
     m = s + i * (r - s)
     rhs = (1 + 2 * binom(r, s - 1) / s) * (m - j)

@@ -245,3 +245,14 @@ def test_load_rejects_malformed():
         load_matrix(io.StringIO("2\n1.0\n"))
     with pytest.raises(DimMismatch):
         load_matrix(io.StringIO("2\n1.0\n0.5 1.0 3.0\n"))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x\n", r"header has a non-integer token in \['x'\]"),
+    ("1.5\n", "header has a non-integer token"),
+    ("2\nz\n", r"line 2 \(row 0\) has a non-float token in \['z'\]"),
+    ("2\n1\n0 y\n", r"line 3 \(row 1\) has a non-float token in \['0', 'y'\]"),
+], ids=["header-word", "header-float", "row0", "row1"])
+def test_load_rejects_bad_tokens(text, match):
+    with pytest.raises(BadParams, match=match):
+        load_matrix(io.StringIO(text))

@@ -1,9 +1,12 @@
 """Closed walk enumeration, censuses, moments, and the occurrence code."""
 
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from hyperlap import (
     tree_walk_count,
     walk_from_code,
 )
+import hyperlap.combin as combin
 import hyperlap.walks as walks
 
 
@@ -314,15 +318,17 @@ def test_stop_degree_check_exhaustive_small():
         assert rep.lhs >= 0
 
 
+# leaves and re-enters the same stop over three different edges
+STAR_WALK = ClosedWalk(
+    ((1,), (0,), (3,), (0,), (5,), (0,)),
+    ((0, 1, 2), (0, 3, 4), (0, 3, 4), (0, 5, 6), (0, 5, 6), (0, 1, 2)),
+)
+
+
 def test_stop_degree_check_star_revisit():
-    # leaves and re-enters the same stop over three different edges; the
-    # center has degree 3 and must be discounted once per entering edge,
+    # the center has degree 3 and must be discounted once per entering edge,
     # a single capped discount would leave lhs = 1 over an rhs of 0
-    star = ClosedWalk(
-        ((1,), (0,), (3,), (0,), (5,), (0,)),
-        ((0, 1, 2), (0, 3, 4), (0, 3, 4), (0, 5, 6), (0, 5, 6), (0, 1, 2)),
-    )
-    rep = stop_degree_check(star)
+    rep = stop_degree_check(STAR_WALK)
     assert rep.distinct_edges == 3
     assert rep.distinct_vertices == 7
     assert rep.lhs == 0
@@ -346,6 +352,145 @@ PAPER_WALK = ClosedWalk(
         (1, 2, 3, 4, 5),
     ),
 )
+
+
+# r in {2, 3, 4}, every loose s, n <= 7, t <= 5, plus (9, 4, 2, 4)
+_WALK_GRID = [
+    (n, r, s, t)
+    for r in (2, 3, 4) for s in range(1, r // 2 + 1)
+    for n in range(r, 8) for t in range(1, 6)
+] + [(9, 4, 2, 4)]
+
+
+def _point_id(point):
+    return "-".join(map(str, point))
+
+
+@pytest.mark.parametrize("point", _WALK_GRID, ids=_point_id)
+def test_enumerated_walks_pass_the_constructor(point):
+    """enumerate_closed_walks builds its walks unchecked, from a table
+    checked once; every such walk must be one the validating constructor
+    accepts and rebuilds equal.  All walks, not only good ones, where there
+    are few enough: (7, 4, 1, 5) alone has 777 million."""
+    n, _, _, t = point
+    for good_only in (True, False) if n + t <= 9 else (True,):
+        for w in enumerate_closed_walks(*point, good_only=good_only):
+            assert type(w) is ClosedWalk
+            assert ClosedWalk(w.stops, w.edges) == w
+
+
+@pytest.mark.parametrize("point, good_only, count, digest", [
+    ((5, 3, 1, 4), False, 21060,
+     "fdfc65a4e0f89a47d8c4bd8856b49de2aa7c0bbe5f0e297e8ef765880929aaf9"),
+    ((7, 3, 1, 5), True, 47250,
+     "f72b118a736e612d8693ac9225dde3a03a8981ac05f913a4eafc44a0658b2c56"),
+    ((5, 4, 1, 5), True, 20400,
+     "b74bee090a88bc2f9403c432a559d91ad0912cec4901193b875c578e82fef320"),
+    ((9, 4, 2, 4), True, 30996,
+     "7ffbac70535d603601d3ea7337af3de6909f8cf025786117849bcba09e71f5d6"),
+])
+def test_enumeration_order_digest_pinned(point, good_only, count, digest):
+    """sha256 of the repr of every (stops, edges) in enumeration order, as
+    frozen from the validating enumerator."""
+    h = hashlib.sha256()
+    k = 0
+    for w in enumerate_closed_walks(*point, good_only=good_only):
+        h.update(repr((w.stops, w.edges)).encode())
+        k += 1
+    assert (k, h.hexdigest()) == (count, digest)
+
+
+def _self_step(tab):
+    _, j = tab.succ[0][0]
+    return 0, j  # stop 0 to itself, over an edge that holds it
+
+
+def _outside_step(tab):
+    b, _ = tab.succ[0][0]
+    return b, next(k for k, f in enumerate(tab.rsets) if tab.ssets[b][0] not in f)
+
+
+@pytest.mark.parametrize("step", [_self_step, _outside_step], ids=["self", "outside"])
+def test_table_check_rejects_a_corrupt_table(step, monkeypatch):
+    match = "not disjoint or not inside the edge"
+    tab = walks._tables(5, 3, 1)
+    row = (step(tab),) + tab.succ[0][1:]
+    bad = dataclasses.replace(tab, succ=(row,) + tab.succ[1:])
+    with pytest.raises(RuntimeError, match=match):
+        walks._check_tables(bad, 3, 1)
+    walks._check_tables(tab, 3, 1)
+    unsorted = dataclasses.replace(tab, rsets=(tab.rsets[0][::-1],) + tab.rsets[1:])
+    with pytest.raises(RuntimeError, match=r"\(2, 1, 0\), not a sorted 3-set"):
+        walks._check_tables(unsorted, 3, 1)
+    # a table built wrong is refused by _tables itself: here every step
+    # goes from a stop to itself
+    ca, _ = combin._disjoint_columns(3, 1)
+    monkeypatch.setattr(walks, "_disjoint_columns", lambda r, s: (ca, ca))
+    with pytest.raises(RuntimeError, match=match):
+        walks._tables.__wrapped__(5, 3, 1)
+
+
+def _old_stop_degree_check(w):
+    """stop_degree_check as it was first written, with explicit degree
+    counts and a vertex-by-vertex overlap test: the oracle."""
+    if not w.is_good:
+        raise NotGood("walk has a single-occurrence edge")
+    s = len(w.stops[0])
+    r = len(w.edges[0])
+    order = w.distinct_edges()
+    i = len(order)
+    degs = {}
+    for f in order:
+        for sub in combinations(f, s):
+            degs[sub] = degs.get(sub, 0) + 1
+    forward = 0
+    seen = set(order[0])
+    for f in order[1:]:
+        if sum(1 for v in f if v in seen) == s:
+            forward += 1
+        seen.update(f)
+    lhs = sum(d - 1 for d in degs.values()) - forward
+    j = len(seen)
+    m = s + i * (r - s)
+    rhs = (1 + 2 * binom(r, s - 1) / s) * (m - j)
+    holds = s * lhs <= (s + 2 * binom(r, s - 1)) * (m - j)
+    return walks.StopDegreeReport(lhs, rhs, holds, i, j)
+
+
+def _same_report(w):
+    got, want = stop_degree_check(w), _old_stop_degree_check(w)
+    assert got == want
+    assert math.copysign(1, got.rhs) == math.copysign(1, want.rhs)
+
+
+@pytest.mark.parametrize("point", _WALK_GRID, ids=_point_id)
+def test_stop_degree_check_matches_oracle(point):
+    seen = set()
+    for w in enumerate_closed_walks(*point, good_only=True):
+        if w.edges not in seen:
+            seen.add(w.edges)
+            _same_report(w)
+
+
+def test_stop_degree_check_matches_oracle_by_hand():
+    a, b = (0, 1, 2), (0, 3, 4)
+    triple = ClosedWalk(((0,), (1,), (2,), (0,), (3,), (4,)), (a, a, a, b, b, b))
+    quad = ClosedWalk(((0,), (1,), (0,), (1,)), (a, a, a, a))
+    for w in (PAPER_WALK, STAR_WALK, triple, quad):
+        _same_report(w)
+    assert max(triple.edge_multiplicities().values()) == 3
+    assert max(quad.edge_multiplicities().values()) == 4
+
+
+def test_stop_degree_check_rejects_non_good():
+    bad = 0
+    for point in [(5, 2, 1, 4), (5, 3, 1, 4), (6, 4, 2, 3)]:
+        for w in enumerate_closed_walks(*point):
+            if not w.is_good:
+                bad += 1
+                with pytest.raises(NotGood):
+                    stop_degree_check(w)
+    assert bad == 120 + 19320 + 90  # all walks less the good ones, per point
 
 
 def test_code_from_walk_example():
