@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .combin import (_check_loose, _disjoint_columns, as_sset, binom, kneser_adjacency,
-                     subset_ranks)
+                     kneser_spectrum, subset_ranks)
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -22,7 +22,7 @@ from .errors import (
     NotLoose,
     ZeroDegree,
 )
-from .hypergraph import Hypergraph, degree_stats
+from .hypergraph import Hypergraph, degree_stats, expected_stop_degree
 from .laplacian import AuxGraph, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
@@ -235,10 +235,10 @@ def ekr_bound(n: int, s: int) -> EkrBound:
     """
     if s < 1 or n < 2 * s:
         raise DegenerateKneser(f"need n >= 2s >= 2, got n={n}, s={s}")
-    n_plus = sum(binom(n, 2 * i + 1) - binom(n, 2 * i) for i in range((s - 1) // 2 + 1))
-    n_minus = sum(
-        binom(n, 2 * i) - (binom(n, 2 * i - 1) if i else 0) for i in range(s // 2 + 1)
-    )
+    # a Laplacian eigenvalue above 1 is a Kneser eigenvalue below 0
+    spec = kneser_spectrum(n, s)
+    n_plus = sum(e.multiplicity for e in spec if e.value < 0)
+    n_minus = sum(e.multiplicity for e in spec if e.value > 0)
     return EkrBound(n_plus, n_minus, min(n_plus, n_minus), binom(n - 1, s - 1))
 
 
@@ -313,7 +313,7 @@ def perturbation_diagnostics(h: Hypergraph, s: int, p: float) -> PerturbationRep
         raise ZeroDegree("every s-set needs positive degree")
     n, r = h.n, h.r
     cap_n = g.dim
-    d = binom(n - s, r - s) * p
+    d = expected_stop_degree(n, r, s, p)
     kn = kneser_adjacency(n, s).astype(np.float64)
     w = g.weights.astype(np.float64)
     ew = binom(n - 2 * s, r - 2 * s) * p * kn

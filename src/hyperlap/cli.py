@@ -40,6 +40,7 @@ from .hypergraph import (
     RandomModel,
     complete,
     degree_stats,
+    expected_stop_degree,
     read_hypergraph,
     sample,
 )
@@ -186,9 +187,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         pairs = complete_spectrum(cfg.n, cfg.r, cfg.s)
         closed = np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
         err = float(np.max(np.abs(closed - spec.values)))
-        records = [
-            {"value": e.value, "multiplicity": e.multiplicity} for e in pairs
-        ]
+        records = [asdict(e) for e in pairs]
         summary = {
             "dim": spec.dim,
             "max_abs_error": err,
@@ -211,7 +210,7 @@ def _run_spectrum(cfg: ExperimentConfig):
 
 
 def _radius_reference(n: int, r: int, s: int, p: float, slack: float) -> float:
-    d = binom(n - s, r - s) * p
+    d = expected_stop_degree(n, r, s, p)
     return s / (n - s) + slack * math.sqrt((1.0 - p) / d)
 
 
@@ -334,15 +333,7 @@ def _run_expansion(cfg: ExperimentConfig):
         fam_s = colex_unrank(rng.choice(count, size, replace=False), h.n, cfg.s)
         fam_t = colex_unrank(rng.choice(count, size, replace=False), h.n, cfg.s)
         rep = apps.edge_expansion(h, cfg.s, fam_s, fam_t, lam, tol=cfg.tol)
-        return {
-            "family_size": size,
-            "e_st": rep.e_st,
-            "e_s": rep.e_s,
-            "e_t": rep.e_t,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "holds": rep.holds,
-        }
+        return {"family_size": size, **asdict(rep)}
 
     records, _, holds = _trials(cfg, one, lambda rec: rec["holds"])
     summary = {"trials": cfg.trials, "holds": holds}
@@ -356,10 +347,7 @@ def _run_ekr(cfg: ExperimentConfig):
     records = []
     for s in sizes:
         b = apps.ekr_bound(cfg.n, s)
-        records.append(
-            {"n": cfg.n, "s": s, "n_plus": b.n_plus, "n_minus": b.n_minus,
-             "bound": b.bound, "star": b.star, "match": b.bound == b.star}
-        )
+        records.append({"n": cfg.n, "s": s, **asdict(b), "match": b.bound == b.star})
     matches = sum(rec["match"] for rec in records)
     summary = {"rows": len(records), "matches": matches}
     return records, summary, matches == len(records)
@@ -367,15 +355,9 @@ def _run_ekr(cfg: ExperimentConfig):
 
 def _run_monotonicity(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        rep = apps.monotonicity_check(h, tol=cfg.tol)
-        return {
-            "rows": [
-                {"s": row.s, "lambda1": row.lambda1, "lambda_max": row.lambda_max}
-                for row in rep.rows
-            ],
-            "lambda1_nonincreasing": rep.lambda1_nonincreasing,
-            "lambda_max_nondecreasing": rep.lambda_max_nondecreasing,
-        }
+        rep = asdict(apps.monotonicity_check(h, tol=cfg.tol))
+        # CSV JSON-encodes a list cell; asdict keeps the rows a tuple
+        return {**rep, "rows": list(rep["rows"])}
 
     records, _, ok = _trials(
         cfg, one,
@@ -386,7 +368,7 @@ def _run_monotonicity(cfg: ExperimentConfig):
 
 
 def _run_diagnostics(cfg: ExperimentConfig):
-    d = binom(cfg.n - cfg.s, cfg.r - cfg.s) * cfg.p
+    d = expected_stop_degree(cfg.n, cfg.r, cfg.s, cfg.p)
     count = binom(cfg.n, cfg.s)
     window = 3.0 * math.sqrt(d * math.log(count))
     reference = count * d * (1.0 - cfg.p)
@@ -562,58 +544,40 @@ def run(config: ExperimentConfig) -> ExperimentReport:
 # ------------------------------------------------------------------- output
 
 
-def _plain(x):
-    """Recursively strip numpy types so json sees only built-ins."""
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_plain(v) for v in x.tolist()]
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
 def _format_json(rep: ExperimentReport) -> str:
-    doc = {"config": _plain(rep.config)}
+    doc = {"config": rep.config}
     if rep.timestamp is not None:
         doc["timestamp"] = rep.timestamp
-    doc["records"] = _plain(rep.records)
-    doc["summary"] = _plain(rep.summary)
+    doc["records"] = rep.records
+    doc["summary"] = rep.summary
     doc["pass"] = rep.passed
     return json.dumps(doc, indent=2) + "\n"
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, (list, dict)):
-        return json.dumps(_plain(v), separators=(";", ":"))
+        return json.dumps(v, separators=(";", ":"))
     return str(v)
 
 
 def _format_csv(rep: ExperimentReport) -> str:
-    lines = ["# config " + json.dumps(_plain(rep.config), separators=(",", ":"))]
+    lines = ["# config " + json.dumps(rep.config, separators=(",", ":"))]
     if rep.timestamp is not None:
         lines.append("# timestamp " + rep.timestamp)
-    recs = _plain(rep.records)
-    if recs:
-        keys = list(recs[0])
-        for rec in recs[1:]:
+    if rep.records:
+        keys = list(rep.records[0])
+        for rec in rep.records[1:]:
             for k in rec:
                 if k not in keys:
                     keys.append(k)
         lines.append(",".join(keys))
-        for rec in recs:
+        for rec in rep.records:
             lines.append(",".join(_csv_cell(rec.get(k, "")) for k in keys))
-    for k, v in _plain(rep.summary).items():
+    for k, v in rep.summary.items():
         lines.append(f"# {k}={_csv_cell(v)}")
     lines.append(f"# pass={_csv_cell(rep.passed)}")
     return "\n".join(lines) + "\n"

@@ -182,6 +182,16 @@ def kneser_adjacency(n: int, s: int) -> np.ndarray:
     return _disjoint(sets, sets).astype(np.int64)
 
 
+def _kneser_terms(n: int, s: int) -> list[tuple[int, int]]:
+    """kneser_spectrum's pairs as exact integers, for callers that divide an
+    eigenvalue: a float past 2**53 has already been rounded once."""
+    return [
+        ((-1) ** i * math.comb(n - s - i, s - i),
+         math.comb(n, i) - (math.comb(n, i - 1) if i >= 1 else 0))
+        for i in range(s + 1)
+    ]
+
+
 def kneser_spectrum(n: int, s: int) -> list[EigenPair]:
     """Adjacency spectrum of K(n,s) in closed form.
 
@@ -192,9 +202,4 @@ def kneser_spectrum(n: int, s: int) -> list[EigenPair]:
         raise BadParams(f"need s >= 1, got {s}")
     if n < 2 * s:
         raise DegenerateKneser(f"K({n},{s}) needs n >= 2s")
-    pairs = []
-    for i in range(s + 1):
-        val = (-1) ** i * math.comb(n - s - i, s - i)
-        mult = math.comb(n, i) - (math.comb(n, i - 1) if i >= 1 else 0)
-        pairs.append(EigenPair(float(val), mult))
-    return pairs
+    return [EigenPair(float(val), mult) for val, mult in _kneser_terms(n, s)]

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .combin import (EigenPair, _check_loose, _disjoint_columns, binom,
+from .combin import (EigenPair, _check_loose, _disjoint_columns, _kneser_terms, binom,
                      kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph, _ints
@@ -119,19 +119,15 @@ def normalized_laplacian(g: AuxGraph) -> Laplacian:
 def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
     """Closed-form Laplacian spectrum of the complete r-uniform hypergraph.
 
-    Eigenvalue 1 - (-1)^i C(n-s-i, s-i)/C(n-s, s) with multiplicity
-    C(n,i) - C(n,i-1) for i = 0..s, returned ascending by value.
-    Multiplicities sum to C(n,s).
+    Eigenvalue 1 - k/C(n-s, s) for each Kneser K(n,s) eigenvalue k, with
+    its multiplicity, returned ascending by value.  Multiplicities sum to
+    C(n,s).
     """
     _check_loose(r, s)
     if n < r:
         raise BadParams(f"complete hypergraph needs n >= r, got n={n}, r={r}")
     denom = binom(n - s, s)
-    pairs = []
-    for i in range(s + 1):
-        val = 1.0 - (-1) ** i * binom(n - s - i, s - i) / denom
-        mult = binom(n, i) - (binom(n, i - 1) if i >= 1 else 0)
-        pairs.append(EigenPair(val, mult))
+    pairs = [EigenPair(1.0 - k / denom, mult) for k, mult in _kneser_terms(n, s)]
     return sorted(pairs, key=lambda pr: pr.value)
 
 
