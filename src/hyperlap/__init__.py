@@ -75,6 +75,7 @@ from .spectra import (
 from .walks import (
     ClosedWalk,
     WalkCensus,
+    StopDegreeReport,
     WalkCode,
     canonical_partition,
     census,
@@ -92,6 +93,7 @@ from .apps import (
     ExpansionReport,
     MixingReport,
     MonotonicityReport,
+    MonotonicityRow,
     PerturbationReport,
     TransitionSystem,
     diameter_bound,

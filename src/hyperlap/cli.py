@@ -16,18 +16,21 @@ budget below 1, a HYPERLAP_BUDGET that is not a positive integer,
 --trials, --bins or --steps below 1, or --family-frac outside (0, 1] -- is
 a usage error that still emits a structured BadParams document.  So is an
 r outside [1, n] or a stop size that is not loose, wherever n and r do not
-come from --input (walk-count included).
+come from --input (walk-count included).  So is an --output or
+--dump-matrix path that cannot be written; an unwritable --output sends
+its document to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -181,8 +184,9 @@ def _run_spectrum(cfg: ExperimentConfig):
     lap = _laplacian_of(h, cfg.s)
     spec = eigenvalues_sym(lap.matrix)
     if cfg.dump_path:
-        with open(cfg.dump_path, "w") as fh:
-            dump_matrix(lap.matrix, fh)
+        buf = io.StringIO()
+        dump_matrix(lap.matrix, buf)
+        _atomic_write(cfg.dump_path, buf.getvalue(), "--dump-matrix")
     if cfg.use_complete:
         pairs = complete_spectrum(cfg.n, cfg.r, cfg.s)
         closed = np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
@@ -583,23 +587,28 @@ def _format_csv(rep: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    # full document lands in one rename; a failed run leaves no partial file
+def _atomic_write(path: str, text: str, flag: str) -> None:
+    """Land text at path in one rename, so a failed write leaves no partial
+    file; a path that cannot be written is a BadParams naming its flag."""
     folder = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # strerror and path, not str(exc): that names the random temporary file
+        raise BadParams(f"cannot write {flag}: {exc.strerror or exc}: {path}") from exc
 
 
 def emit(rep: ExperimentReport, cfg: ExperimentConfig) -> None:
     text = _format_json(rep) if cfg.format == "json" else _format_csv(rep)
     if cfg.output:
-        _atomic_write(cfg.output, text)
+        _atomic_write(cfg.output, text, "--output")
     else:
         sys.stdout.write(text)
 
@@ -637,14 +646,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(cfg)
+        code = 0 if report.passed else 1
     except HyperlapError as exc:
-        # setup-level failure: still a complete, structured document
-        summary = {"error": type(exc).__name__, "message": str(exc)}
-        report = ExperimentReport(cfg.echo(), [], summary, False, _stamp(cfg))
+        report, code = _failure(cfg, exc), 2
+    try:
         emit(report, cfg)
+    except BadParams as exc:
+        # --output cannot be written, so its document goes to stdout
+        emit(_failure(cfg, exc), replace(cfg, output=None))
         return 2
-    emit(report, cfg)
-    return 0 if report.passed else 1
+    return code
+
+
+def _failure(cfg: ExperimentConfig, exc: HyperlapError) -> ExperimentReport:
+    """The complete, structured document of a run that failed at setup."""
+    summary = {"error": type(exc).__name__, "message": str(exc)}
+    return ExperimentReport(cfg.echo(), [], summary, False, _stamp(cfg))
 
 
 if __name__ == "__main__":

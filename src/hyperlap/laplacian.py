@@ -35,10 +35,11 @@ class SymMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+        # before symmetry: NaN != NaN would read as an asymmetric entry
+        if not np.isfinite(a).all():
+            raise BadParams("matrix has non-finite entries")
         if not np.array_equal(a, a.T):
             raise DimMismatch("matrix is not symmetric")
-        if a.size and not np.all(np.isfinite(a)):
-            raise BadParams("matrix has non-finite entries")
         object.__setattr__(self, "entries", a)
 
     @property
@@ -158,7 +159,8 @@ def dump_matrix(m: SymMatrix, fh: IO[str]) -> None:
 
 
 def load_matrix(fh: IO[str]) -> SymMatrix:
-    """Parse the format written by dump_matrix."""
+    """Parse the format written by dump_matrix; only blank lines may
+    follow the last row."""
     header = fh.readline().split()
     if len(header) != 1:
         raise DimMismatch(f"expected a lone dimension header, got {header!r}")
@@ -178,4 +180,7 @@ def load_matrix(fh: IO[str]) -> SymMatrix:
             ) from exc
         a[i, : i + 1] = vals
         a[: i + 1, i] = vals
+    for lineno, line in enumerate(fh, start=dim + 2):
+        if line.strip():
+            raise DimMismatch(f"line {lineno} holds data after the last row")
     return SymMatrix(a)

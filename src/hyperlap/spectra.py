@@ -77,10 +77,11 @@ def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
-        raise DimMismatch("matrix is not symmetric")
+    # as in SymMatrix: NaN fails the symmetry test, so check finiteness first
     if not np.isfinite(a).all():
         raise BadParams("matrix has non-finite entries")
+    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
+        raise DimMismatch("matrix is not symmetric")
     return a
 
 

@@ -306,6 +306,81 @@ def test_bad_input_file_is_reported(sub, data, tmp_path, capsys):
     assert doc["pass"] is False
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--dump-matrix", ["spectrum", "--complete", "--n", "10", "--r", "4", "--s", "2"]),
+    ("--output", ["ekr", "--n", "6"]),
+], ids=["dump-matrix", "output"])
+def test_unwritable_path_is_a_bad_params_document(flag, argv, target, tmp_path, capsys):
+    """A path that cannot be written is an exit-2 BadParams document on
+    stdout, and no file, partial or temporary, is left behind."""
+    path = tmp_path / "missing" / "x.txt"
+    if target == "directory":
+        path = tmp_path / "dir"
+        path.mkdir()
+    code, doc = _run(argv + [flag, str(path)], capsys)
+    assert code == 2
+    assert doc["records"] == [] and doc["pass"] is False
+    assert doc["summary"]["error"] == "BadParams"
+    # the message names the path asked for, not a random temporary file
+    msg = doc["summary"]["message"]
+    assert msg.startswith(f"cannot write {flag}: ") and msg.endswith(f": {path}")
+    left = sorted(p.name for p in tmp_path.rglob("*"))
+    assert left == ([] if target == "missing" else ["dir"])
+
+
+# every subcommand at a small size, plus per-trial error records (diameter
+# at p = 0.05 is disconnected) and an exit-2 document (ekr at n = 1)
+CONTRACT_ARGV = [
+    ["spectrum", "--complete", "--n", "8", "--r", "4", "--s", "2"],
+    ["spectrum", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2"],
+    ["semicircle", "--n", "10", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2",
+     "--bins", "4"],
+    ["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "4"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2"],
+    ["diameter", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2"],
+    ["expansion", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2"],
+    ["ekr", "--n", "6"],
+    ["monotonicity", "--complete", "--n", "8", "--r", "4"],
+    ["diagnostics", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2"],
+    ["diameter", "--n", "10", "--r", "3", "--s", "1", "--p", "0.05", "--trials", "3"],
+    ["ekr", "--n", "1"],
+]
+
+
+def _json_native(x) -> bool:
+    """x is built only from dict, list, str, int, float, bool and None,
+    exactly: no tuple, and no numpy scalar passing as a float subclass."""
+    if type(x) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in x.items())
+    if type(x) is list:
+        return all(_json_native(v) for v in x)
+    return type(x) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_hold_only_json_native_values(fmt, monkeypatch, capsys):
+    """The output layer writes report values as it gets them, so every
+    runner must build its records from Python built-ins."""
+    emitted, emit = [], cli.emit
+
+    def spy(rep, cfg):
+        emitted.append(rep)
+        emit(rep, cfg)
+
+    monkeypatch.setattr(cli, "emit", spy)
+    codes = [main(argv + ["--format", fmt, "--deterministic"]) for argv in CONTRACT_ARGV]
+    capsys.readouterr()
+    assert len(emitted) == len(CONTRACT_ARGV)
+    for argv, rep in zip(CONTRACT_ARGV, emitted):
+        for part in (rep.config, rep.records, rep.summary):
+            assert _json_native(part), (argv, part)
+        assert type(rep.passed) is bool
+    assert {rec["error"] for rec in emitted[-2].records} == {"Disconnected"}
+    assert codes[-1] == 2 and emitted[-1].summary["error"] == "DegenerateKneser"
+
+
 def test_tol_rejected_where_unused():
     with pytest.raises(SystemExit) as exc:
         main(["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5",

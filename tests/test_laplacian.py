@@ -245,6 +245,8 @@ def test_load_rejects_malformed():
         load_matrix(io.StringIO("2\n1.0\n"))
     with pytest.raises(DimMismatch):
         load_matrix(io.StringIO("2\n1.0\n0.5 1.0 3.0\n"))
+    with pytest.raises(DimMismatch, match="line 4 holds data after the last row"):
+        load_matrix(io.StringIO("2\n1\n0 1\n9 9 9\n"))
 
 
 @pytest.mark.parametrize("text, match", [
@@ -252,7 +254,13 @@ def test_load_rejects_malformed():
     ("1.5\n", "header has a non-integer token"),
     ("2\nz\n", r"line 2 \(row 0\) has a non-float token in \['z'\]"),
     ("2\n1\n0 y\n", r"line 3 \(row 1\) has a non-float token in \['0', 'y'\]"),
-], ids=["header-word", "header-float", "row0", "row1"])
+    ("1\nnan\n", "non-finite"),
+], ids=["header-word", "header-float", "row0", "row1", "nan"])
 def test_load_rejects_bad_tokens(text, match):
     with pytest.raises(BadParams, match=match):
         load_matrix(io.StringIO(text))
+
+
+def test_load_accepts_trailing_blank_lines():
+    m = load_matrix(io.StringIO("2\n1\n0 1\n\n  \n"))
+    assert np.array_equal(m.entries, np.eye(2))

@@ -47,7 +47,7 @@ def test_eigenvalues_rejects_asymmetric():
         eigenvalues_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("solve", [eigenvalues_sym, spectral_norm])
 def test_bare_array_rejects_non_finite(solve, bad):
     """A bare array is held to SymMatrix's rule, not solved into nan."""
