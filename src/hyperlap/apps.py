@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combin import (_check_loose, _disjoint_columns, as_sset, binom, kneser_adjacency,
-                     kneser_spectrum, subset_ranks)
+from .combin import (_check_loose, _disjoint_columns, _kneser_terms, as_sset, binom,
+                     kneser_adjacency, subset_ranks)
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -236,9 +236,9 @@ def ekr_bound(n: int, s: int) -> EkrBound:
     if s < 1 or n < 2 * s:
         raise DegenerateKneser(f"need n >= 2s >= 2, got n={n}, s={s}")
     # a Laplacian eigenvalue above 1 is a Kneser eigenvalue below 0
-    spec = kneser_spectrum(n, s)
-    n_plus = sum(e.multiplicity for e in spec if e.value < 0)
-    n_minus = sum(e.multiplicity for e in spec if e.value > 0)
+    terms = _kneser_terms(n, s)
+    n_plus = sum(m for k, m in terms if k < 0)
+    n_minus = sum(m for k, m in terms if k > 0)
     return EkrBound(n_plus, n_minus, min(n_plus, n_minus), binom(n - 1, s - 1))
 
 

@@ -24,7 +24,6 @@ its document to stdout.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -32,7 +31,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from typing import Callable
+from typing import IO, Callable
 
 import numpy as np
 
@@ -184,9 +183,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     lap = _laplacian_of(h, cfg.s)
     spec = eigenvalues_sym(lap.matrix)
     if cfg.dump_path:
-        buf = io.StringIO()
-        dump_matrix(lap.matrix, buf)
-        _atomic_write(cfg.dump_path, buf.getvalue(), "--dump-matrix")
+        _atomic_write(cfg.dump_path, lambda fh: dump_matrix(lap.matrix, fh), "--dump-matrix")
     if cfg.use_complete:
         pairs = complete_spectrum(cfg.n, cfg.r, cfg.s)
         closed = np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
@@ -587,15 +584,16 @@ def _format_csv(rep: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, text: str, flag: str) -> None:
-    """Land text at path in one rename, so a failed write leaves no partial
-    file; a path that cannot be written is a BadParams naming its flag."""
+def _atomic_write(path: str, write: Callable[[IO[str]], None], flag: str) -> None:
+    """Stream write's output to a temporary file and land it at path in one
+    rename, so a failed write leaves no partial file; a path that cannot be
+    written is a BadParams naming its flag."""
     folder = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                write(fh)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -608,7 +606,7 @@ def _atomic_write(path: str, text: str, flag: str) -> None:
 def emit(rep: ExperimentReport, cfg: ExperimentConfig) -> None:
     text = _format_json(rep) if cfg.format == "json" else _format_csv(rep)
     if cfg.output:
-        _atomic_write(cfg.output, text, "--output")
+        _atomic_write(cfg.output, lambda fh: fh.write(text), "--output")
     else:
         sys.stdout.write(text)
 
@@ -652,8 +650,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         emit(report, cfg)
     except BadParams as exc:
-        # --output cannot be written, so its document goes to stdout
-        emit(_failure(cfg, exc), replace(cfg, output=None))
+        # --output cannot be written, so the document goes to stdout; a run
+        # that already failed at setup keeps its own error and notes this one
+        if code == 2:
+            report.summary["message"] += f"; {exc}"
+        else:
+            report = _failure(cfg, exc)
+        emit(report, replace(cfg, output=None))
         return 2
     return code
 

@@ -183,11 +183,11 @@ def kneser_adjacency(n: int, s: int) -> np.ndarray:
 
 
 def _kneser_terms(n: int, s: int) -> list[tuple[int, int]]:
-    """kneser_spectrum's pairs as exact integers, for callers that divide an
-    eigenvalue: a float past 2**53 has already been rounded once."""
+    """kneser_spectrum's pairs as exact integers: a float eigenvalue rounds
+    past 2**53 and overflows past about 1.8e308."""
+    row = [0] + [math.comb(n, i) for i in range(s + 1)]  # row[i] = C(n, i-1)
     return [
-        ((-1) ** i * math.comb(n - s - i, s - i),
-         math.comb(n, i) - (math.comb(n, i - 1) if i >= 1 else 0))
+        ((-1) ** i * math.comb(n - s - i, s - i), row[i + 1] - row[i])
         for i in range(s + 1)
     ]
 

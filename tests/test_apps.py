@@ -272,6 +272,21 @@ def test_ekr_counts_match_spectrum_signs():
         assert below == b.n_minus
 
 
+def test_ekr_exact_past_float_range():
+    """The counts stay exact integers where a Kneser eigenvalue such as
+    C(1300, 700) is far past the largest float."""
+    n, s = 2000, 700
+    b = ekr_bound(n, s)
+    # alternating binomial sums: odd Kneser indices are negative eigenvalues
+    n_plus = sum(binom(n, 2 * i + 1) - binom(n, 2 * i) for i in range((s - 1) // 2 + 1))
+    n_minus = sum(
+        binom(n, 2 * i) - (binom(n, 2 * i - 1) if i else 0) for i in range(s // 2 + 1)
+    )
+    assert (b.n_plus, b.n_minus) == (n_plus, n_minus)
+    assert b.n_plus + b.n_minus == binom(n, s)
+    assert b.bound == b.star == binom(n - 1, s - 1)
+
+
 def test_monotonicity_complete():
     rep = monotonicity_check(complete(10, 4))
     assert [row.s for row in rep.rows] == [1, 2]

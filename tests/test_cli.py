@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -327,6 +328,26 @@ def test_unwritable_path_is_a_bad_params_document(flag, argv, target, tmp_path, 
     assert msg.startswith(f"cannot write {flag}: ") and msg.endswith(f": {path}")
     left = sorted(p.name for p in tmp_path.rglob("*"))
     assert left == ([] if target == "missing" else ["dir"])
+
+
+def test_unwritable_output_keeps_the_setup_error(tmp_path, capsys):
+    """A run that already failed at setup still reports that error on
+    stdout, with the --output write error added to its message."""
+    path = tmp_path / "missing" / "y.json"
+    code, doc = _run(["ekr", "--n", "1", "--output", str(path)], capsys)
+    assert code == 2
+    assert doc["records"] == [] and doc["pass"] is False
+    assert doc["summary"]["error"] == "DegenerateKneser"
+    setup, write = doc["summary"]["message"].split("; ")
+    assert setup == "no stop size s with n >= 2s >= 2, n=1"
+    assert write.startswith("cannot write --output: ") and write.endswith(f": {path}")
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_ekr_past_float_range_is_a_report(capsys):
+    code, doc = _run(["ekr", "--n", "2000", "--s", "700"], capsys)
+    assert code == 0 and doc["pass"] is True
+    assert doc["records"][0]["bound"] == math.comb(1999, 699)
 
 
 # every subcommand at a small size, plus per-trial error records (diameter
