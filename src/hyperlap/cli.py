@@ -24,6 +24,8 @@ its document to stdout.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -566,22 +568,20 @@ def _csv_cell(v) -> str:
 
 
 def _format_csv(rep: ExperimentReport) -> str:
-    lines = ["# config " + json.dumps(rep.config, separators=(",", ":"))]
+    out = io.StringIO()
+    out.write("# config " + json.dumps(rep.config, separators=(",", ":")) + "\n")
     if rep.timestamp is not None:
-        lines.append("# timestamp " + rep.timestamp)
+        out.write(f"# timestamp {rep.timestamp}\n")
     if rep.records:
-        keys = list(rep.records[0])
-        for rec in rep.records[1:]:
-            for k in rec:
-                if k not in keys:
-                    keys.append(k)
-        lines.append(",".join(keys))
-        for rec in rep.records:
-            lines.append(",".join(_csv_cell(rec.get(k, "")) for k in keys))
+        # csv quotes only the cells that hold a comma, a quote or a newline
+        keys = list(dict.fromkeys(k for rec in rep.records for k in rec))
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(keys)
+        rows.writerows([_csv_cell(rec.get(k, "")) for k in keys] for rec in rep.records)
     for k, v in rep.summary.items():
-        lines.append(f"# {k}={_csv_cell(v)}")
-    lines.append(f"# pass={_csv_cell(rep.passed)}")
-    return "\n".join(lines) + "\n"
+        out.write(f"# {k}={_csv_cell(v)}\n")
+    out.write(f"# pass={_csv_cell(rep.passed)}\n")
+    return out.getvalue()
 
 
 def _atomic_write(path: str, write: Callable[[IO[str]], None], flag: str) -> None:

@@ -51,6 +51,12 @@ def _check_loose(r: int, s: int) -> None:
         raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
 
 
+def _check_probability(p) -> None:
+    """p in [0, 1]; NaN fails the comparison and is rejected too."""
+    if not 0 <= p <= 1:
+        raise BadParams(f"probability must lie in [0, 1], got {p}")
+
+
 def binom(n: int, k: int) -> int:
     """Exact C(n,k); 0 when k > n, error when either argument is negative."""
     if n < 0 or k < 0:

@@ -17,8 +17,8 @@ from typing import IO
 
 import numpy as np
 
-from .combin import (EigenPair, _check_loose, _disjoint_columns, _kneser_terms, binom,
-                     kneser_adjacency, subset_ranks)
+from .combin import (EigenPair, _check_loose, _check_probability, _disjoint_columns,
+                     _kneser_terms, binom, kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph, _ints
 
@@ -136,8 +136,7 @@ def centered_weight(h: Hypergraph, s: int, p: float) -> SymMatrix:
     """W minus its Bernoulli(p) expectation C(n-2s, r-2s) p K, with K the
     Kneser adjacency on s-sets."""
     _check_loose(h.r, s)
-    if not 0 <= p <= 1:
-        raise BadParams(f"probability must lie in [0, 1], got {p}")
+    _check_probability(p)
     g = build_aux(h, s)
     c = g.weights.astype(np.float64)
     if h.n >= 2 * s:

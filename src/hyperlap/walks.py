@@ -12,6 +12,13 @@ and the search advances by (next stop rank, edge rank).  The successor
 tables are built with combin's colex-rank kernel (subset_ranks) and its
 disjoint column pattern (_disjoint_columns).
 
+The search (_raw_walks) is one depth-first loop over a stack of branch
+iterators, one iterator per step taken, so its depth is t and not
+Python's recursion limit.  With good_only it prunes a partial walk that
+has more single-occurrence edges than steps left.  Its last two steps
+branch only to stops that can still close: the closing steps back to the
+first stop a0 are a0's own steps reversed, read once per root.
+
 Rooting: the complete hypergraph is symmetric under every permutation of
 range(n), and the permutations act transitively on the stops, so each of
 the C(n,s) stops is the first stop of equally many good walks in every
@@ -24,9 +31,12 @@ from every stop.  enumerate_closed_walks still yields every walk.
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
 enumerate_closed_walks yields are checked once per table instead: every
-step of every walk, the closing step included, is a step of the successor
-table, so _check_tables verifies each step of the table once per (n, r, s)
-and the walks are then built without re-validation (ClosedWalk._trusted).
+step of every walk is a step of the successor table, so _check_tables
+verifies each step of the table once per (n, r, s) and the walks are then
+built without re-validation (ClosedWalk._trusted).  That holds for the
+closing step (a, a0, j) too, though it is read off a0's step (a0, a, j):
+disjointness and containment are symmetric, so it joins disjoint stops
+inside its edge exactly when the checked step does.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combin import (SSet, _check_loose, _disjoint_columns, _work_budget, binom,
-                     catalan, colex_unrank, ssets_colex, subset_ranks)
+from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns,
+                     _work_budget, binom, catalan, colex_unrank, ssets_colex, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
 
@@ -127,82 +137,64 @@ def _raw_walks(
     """Yield (stop ranks, edge ranks) for every closed t-walk whose first
     stop rank is below roots, root by root.
 
-    Iterative depth-first search.  Prunes on goodness when good_only: a
-    partial walk with more single-occurrence edges than remaining steps
-    can never become good.  More than limit search states is TooLarge.
+    Depth-first search on a stack of branch iterators, one per step taken,
+    so a walk of any length t needs no recursion.  Prunes on goodness when
+    good_only: a partial walk with more single-occurrence edges than
+    remaining steps can never become good.  The closing steps (b, a0, j)
+    are the root's checked steps (a0, b, j) reversed, which are walk steps
+    too because disjointness and containment are symmetric.  More than
+    limit search states is TooLarge.
     """
     succ = tab.succ
     nodes = 0
     for a0 in range(roots):
-        # steps are symmetric, so these are the stops that can close to a0
-        back = {b for b, _ in succ[a0]}
+        # close[b]: the steps (a0, j) from b back to a0, in j order
+        close: dict[int, list] = {}
+        for b, j in succ[a0]:
+            close.setdefault(b, []).append((a0, j))
         near: dict[int, tuple] = {}
-        close: dict[int, tuple] = {}
 
-        def _blist(a: int, st: int) -> tuple:
-            # branch list for taking step st from stop a (source a0)
+        def branch(a: int, st: int):
+            # the steps (b, j) that step st may take from stop a
+            if st < t - 1:
+                return succ[a]
             if st == t:
-                bl = close.get(a)
-                if bl is None:
-                    bl = tuple(p for p in succ[a] if p[0] == a0)
-                    close[a] = bl
-                return bl
-            if st == t - 1:
-                bl = near.get(a)
-                if bl is None:
-                    bl = tuple(p for p in succ[a] if p[0] in back)
-                    near[a] = bl
-                return bl
-            return succ[a]
+                return close.get(a, ())
+            if a not in near:
+                near[a] = tuple(p for p in succ[a] if p[0] in close)
+            return near[a]
 
-        stops = [a0]
-        edges: list[int] = []
-        counts: dict[int, int] = {}
-        singles = 0
-        blists: list[tuple] = [()] * t
-        pos = [0] * t
-        blists[0] = _blist(a0, 1)
-        depth = 0
-        while depth >= 0:
-            bl = blists[depth]
-            i = pos[depth]
-            if i >= len(bl):
-                depth -= 1
-                if depth >= 0:
+        stops, edges, counts, singles = [a0], [], {}, 0
+        its = [iter(branch(a0, 1))]
+        while its:
+            st = len(its)
+            for b, j in its[-1]:
+                c = counts.get(j, 0)
+                ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
+                if good_only and (ns != 0 if st == t else ns > t - st):
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise TooLarge(f"walk enumeration visited {limit} states, its whole "
+                                   f"budget, and finished {a0} of {roots} roots")
+                if st == t:
+                    yield tuple(stops), tuple(edges) + (j,)
+                    continue
+                counts[j] = c + 1
+                singles = ns
+                stops.append(b)
+                edges.append(j)
+                its.append(iter(branch(b, st + 1)))
+                break
+            else:
+                its.pop()
+                if edges:
                     stops.pop()
                     j = edges.pop()
-                    c = counts[j] - 1
-                    if c == 0:
-                        del counts[j]
-                        singles -= 1
-                    else:
+                    c = counts.pop(j) - 1
+                    if c:
                         counts[j] = c
-                        if c == 1:
-                            singles += 1
-                continue
-            pos[depth] = i + 1
-            b, j = bl[i]
-            st = depth + 1
-            c = counts.get(j, 0)
-            ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
-            if good_only and (ns != 0 if st == t else ns > t - st):
-                continue
-            nodes += 1
-            if nodes > limit:
-                raise TooLarge(
-                    f"walk enumeration visited {limit} states, its whole budget, "
-                    f"and finished {a0} of {roots} roots"
-                )
-            if st == t:
-                yield tuple(stops), tuple(edges) + (j,)
-                continue
-            counts[j] = c + 1
-            singles = ns
-            stops.append(b)
-            edges.append(j)
-            depth += 1
-            pos[depth] = 0
-            blists[depth] = _blist(b, st + 1)
+                    singles += (c == 1) - (c == 0)
 
 
 @dataclass(frozen=True)
@@ -325,8 +317,7 @@ def edge_moment(q: int, p) -> float | Fraction:
     """q-th central moment of a Bernoulli(p) edge indicator."""
     if q < 1:
         raise BadParams(f"moment order must be >= 1, got {q}")
-    if not 0 <= p <= 1:
-        raise BadParams(f"probability must lie in [0, 1], got {p}")
+    _check_probability(p)
     return (1 - p) ** q * p + (-p) ** q * (1 - p)
 
 
@@ -346,6 +337,7 @@ def expected_trace(
     central moment of order equal to the edge's multiplicity.  Walks with a
     single-occurrence edge contribute zero and are skipped outright.
     """
+    _check_probability(p)
     if exact and not isinstance(p, Fraction):
         p = Fraction(p)
     # keyed by the sorted edge multiplicities

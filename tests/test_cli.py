@@ -1,6 +1,7 @@
 """Driver behavior: exit codes, formats, determinism, atomic output."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -400,6 +401,29 @@ def test_reports_hold_only_json_native_values(fmt, monkeypatch, capsys):
         assert type(rep.passed) is bool
     assert {rec["error"] for rec in emitted[-2].records} == {"Disconnected"}
     assert codes[-1] == 2 and emitted[-1].summary["error"] == "DegenerateKneser"
+
+
+def test_csv_rows_have_the_header_width(tmp_path, capsys):
+    """CSV data rows parse to the header's width, and string cells, such as
+    an error message that holds commas, read back as the JSON report has them."""
+    path = tmp_path / "k84.txt"
+    with open(path, "w") as fh:
+        write_hypergraph(complete(8, 4), fh)
+    # s = 3 is not loose for r = 4: one per-trial record with commas in its message
+    found = ["mixing", "--input", str(path), "--n", "8", "--r", "4", "--s", "3"]
+    for argv in CONTRACT_ARGV + [found]:
+        main(argv + ["--deterministic"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        main(argv + ["--format", "csv", "--deterministic"])
+        text = capsys.readouterr().out.splitlines(keepends=True)
+        table = list(csv.reader(line for line in text if not line.startswith("#")))
+        assert len(table) == (len(records) + 1 if records else 0), argv
+        for rec, row in zip(records, table[1:]):
+            assert len(row) == len(table[0]), (argv, row)
+            cells = dict(zip(table[0], row))
+            assert all(cells[k] == v for k, v in rec.items() if isinstance(v, str))
+    assert cells == {"trial": "0", "error": "NotLoose",
+                     "message": "need 1 <= s <= r/2, got s=3, r=4"}
 
 
 def test_tol_rejected_where_unused():

@@ -137,7 +137,7 @@ _WALK_ENTRIES = [
 @pytest.mark.parametrize("entry", _WALK_ENTRIES, ids=["enumerate", "census", "trace"])
 def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
     """Every public walk function rejects a non-loose s, then t < 1, before
-    it builds any walk table."""
+    it builds any walk table; expected_trace rejects a bad p before both."""
 
     def no_tables(*args):
         raise AssertionError(f"_tables{args} built for a rejected call")
@@ -152,6 +152,44 @@ def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
         entry(5, 4, 0, 0)  # s is checked before t
     with pytest.raises(BadParams, match="walk length must be >= 1, got 0"):
         entry(5, 4, 2, 0)
+    # (5, 2, 1, 3) has no good walk, so no moment would ever see its p
+    for p in (2.0, -1, math.nan, math.inf, Fraction(3, 2)):
+        for exact in (False, True):
+            with pytest.raises(BadParams, match=r"probability must lie in \[0, 1\]"):
+                expected_trace(5, 2, 1, 3, p, exact=exact)
+    with pytest.raises(BadParams, match="probability"):
+        expected_trace(5, 4, 3, 0, 2.0, exact=True)  # p before s and t
+
+
+# the least budget at which census, the good-walk enumeration and the full
+# enumeration finish: the search states each visits, frozen
+@pytest.mark.parametrize("point, least", [
+    ((5, 3, 1, 4), (1044, 5220, 28860)),
+    ((6, 4, 2, 4), (174, 2610, 4050)),
+    ((5, 2, 1, 5), (72, 360, 2460)),
+])
+def test_budget_counts_states_pinned(point, least):
+    runs = [
+        lambda b: census(*point, budget=b),
+        lambda b: list(enumerate_closed_walks(*point, good_only=True, budget=b)),
+        lambda b: list(enumerate_closed_walks(*point, budget=b)),
+    ]
+    for run, budget in zip(runs, least):
+        run(budget)
+        with pytest.raises(TooLarge, match=f"visited {budget - 1} states"):
+            run(budget - 1)
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    # two stops and one edge: the only good walks go back and forth
+    assert census(2, 2, 1, 3000).counts == {(1, 2): 2}
+
+
+def test_one_step_walks_do_not_exist():
+    # a stop is never disjoint from itself, so no walk closes in one step
+    assert list(enumerate_closed_walks(5, 2, 1, 1)) == []
+    assert census(5, 2, 1, 1).counts == {}
+    assert expected_trace(5, 2, 1, 1, 0.5) == 0.0
 
 
 # the grid the rooting identity (ROADMAP item 2(a)) was first checked on
