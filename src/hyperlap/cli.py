@@ -12,13 +12,15 @@ when --output is given, and byte-stable when re-run with identical flags
 Exit status: 0 when the run's check passes, 1 on a tolerance failure or a
 trial-level error (reported as a structured record), 2 on a usage error.
 A bad parameter value -- --p outside (0, 1), a negative --n or --seed, a
-budget below 1, a HYPERLAP_BUDGET that is not a positive integer,
---trials, --bins or --steps below 1, or --family-frac outside (0, 1] -- is
-a usage error that still emits a structured BadParams document.  So is an
-r outside [1, n] or a stop size that is not loose, wherever n and r do not
-come from --input (walk-count included).  So is an --output or
+budget below 1, --trials, --bins or --steps below 1, --family-frac outside
+(0, 1], or a --tol, --slack or --ks-tol that is negative or not finite --
+is a usage error that still emits a structured BadParams document, whose
+config echo writes a non-finite value as the string "nan" or "inf".  So
+is an r outside [1, n] or a stop size that is not loose, wherever n and r
+do not come from --input (walk-count included).  So is an --output or
 --dump-matrix path that cannot be written; an unwritable --output sends
-its document to stdout.
+its document to stdout.  A reference constant past the float range, or a
+walk table past walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .combin import _check_loose, _work_budget, binom, colex_unrank
-from .errors import BadParams, DegenerateKneser, HyperlapError
+from .combin import _check_loose, _to_float, _work_budget, binom, colex_unrank
+from .errors import BadParams, DegenerateKneser, HyperlapError, TooLarge
 from .hypergraph import (
     Hypergraph,
     RandomModel,
@@ -108,7 +110,9 @@ class ExperimentConfig:
         d = asdict(self)
         own = [_dest(flag) for flag in _flags(_SUBCOMMANDS[self.subcommand])]
         keep = _CORE_FIELDS + tuple(k for k in own if k not in _CORE_FIELDS)
-        return {k: d[k] for k in keep if d[k] is not None}
+        # JSON has no NaN or infinity: a rejected non-finite value echoes as its repr
+        return {k: repr(d[k]) if isinstance(d[k], float) and not math.isfinite(d[k])
+                else d[k] for k in keep if d[k] is not None}
 
 
 @dataclass
@@ -239,12 +243,11 @@ def _run_radius(cfg: ExperimentConfig):
 
 
 def _run_semicircle(cfg: ExperimentConfig):
-    radius = 2.0 * math.sqrt(
-        binom(cfg.r - cfg.s, cfg.s)
-        * binom(cfg.n - cfg.s, cfg.r - cfg.s)
-        * cfg.p
-        * (1.0 - cfg.p)
-    )
+    n, r, s = cfg.n, cfg.r, cfg.s
+    # the row sum of the complete hypergraph's weight matrix
+    row_sum = _to_float(binom(r - s, s) * binom(n - s, r - s),
+                        f"C({r - s}, {s})*C({n - s}, {r - s})")
+    radius = 2.0 * math.sqrt(row_sum * cfg.p * (1.0 - cfg.p))
 
     def one(k: int, h: Hypergraph) -> dict:
         c = centered_weight(h, cfg.s, cfg.p)
@@ -374,7 +377,10 @@ def _run_diagnostics(cfg: ExperimentConfig):
     d = expected_stop_degree(cfg.n, cfg.r, cfg.s, cfg.p)
     count = binom(cfg.n, cfg.s)
     window = 3.0 * math.sqrt(d * math.log(count))
-    reference = count * d * (1.0 - cfg.p)
+    reference = _to_float(count, f"C({cfg.n}, {cfg.s})") * d * (1.0 - cfg.p)
+    if math.isinf(window) or math.isinf(reference):
+        raise TooLarge("the degree window or the sum-of-squares reference exceeds "
+                       "the float range")
 
     def one(k: int, h: Hypergraph) -> dict:
         stats = degree_stats(h, cfg.s, d_ref=d)
@@ -524,6 +530,9 @@ def _check_params(cfg: ExperimentConfig) -> None:
         raise BadParams(f"need steps >= 1, got {cfg.steps}")
     if not 0 < cfg.family_frac <= 1:
         raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
+    for name in ("tol", "slack", "ks_tol"):
+        if not 0 <= getattr(cfg, name) < math.inf:
+            raise BadParams(f"need a finite {name} >= 0, got {getattr(cfg, name)}")
     walks = cfg.subcommand == "walk-count"
     if walks:
         _check_loose(cfg.r, cfg.s)

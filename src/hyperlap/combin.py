@@ -16,31 +16,24 @@ kernels are tested against.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadParams, BadRank, BadVertex, DegenerateKneser, NotLoose
+from .errors import BadParams, BadRank, BadVertex, DegenerateKneser, NotLoose, TooLarge
 
 SSet = tuple[int, ...]
 
 # work cap shared by random sampling (candidate edges) and walk
-# enumeration (search states) when no budget is given and HYPERLAP_BUDGET is unset
+# enumeration (search states) when no budget is given
 DEFAULT_BUDGET = 10**8
 
 
 def _work_budget(budget: int | None) -> int:
-    """Resolve the work budget: explicit arg, then HYPERLAP_BUDGET, then default."""
+    """Resolve the work budget: the explicit arg, else DEFAULT_BUDGET."""
     if budget is None:
-        env = os.environ.get("HYPERLAP_BUDGET")
-        if not env:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise BadParams(f"HYPERLAP_BUDGET={env!r} is not an integer") from exc
+        return DEFAULT_BUDGET
     if budget < 1:
         raise BadParams(f"budget must be positive, got {budget}")
     return budget
@@ -62,6 +55,15 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise BadParams(f"binom needs nonnegative arguments, got ({n}, {k})")
     return math.comb(n, k)
+
+
+def _to_float(x: int, name: str) -> float:
+    """The exact integer x as a float, or TooLarge naming x as name when
+    it is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise TooLarge(f"{name} exceeds the float range") from None
 
 
 def catalan(k: int) -> int:

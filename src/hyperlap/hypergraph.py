@@ -13,8 +13,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .combin import (SSet, _work_budget, as_sset, binom, colex_unrank, ssets_colex,
-                     subset_ranks)
+from .combin import (SSet, _to_float, _work_budget, as_sset, binom, colex_unrank,
+                     ssets_colex, subset_ranks)
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
 
 
@@ -120,7 +120,7 @@ def expected_stop_degree(n: int, r: int, s: int, p: float) -> float:
     """Expected number of edges through a fixed s-set: C(n-s, r-s) p."""
     if s < 1 or s > r:
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={r}")
-    return binom(n - s, r - s) * p
+    return _to_float(binom(n - s, r - s), f"C({n - s}, {r - s})") * p
 
 
 # uniform draws held at once while sampling: 8 MB of float64

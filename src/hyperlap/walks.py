@@ -32,7 +32,7 @@ Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
 enumerate_closed_walks yields are checked once per table instead: every
 step of every walk is a step of the successor table, so _check_tables
-verifies each step of the table once per (n, r, s) and the walks are then
+verifies each step once, as the table is built, and the walks are then
 built without re-validation (ClosedWalk._trusted).  That holds for the
 closing step (a, a0, j) too, though it is read off a0's step (a0, a, j):
 disjointness and containment are symmetric, so it joins disjoint stops
@@ -45,7 +45,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -55,10 +54,15 @@ from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns,
                      _work_budget, binom, catalan, colex_unrank, ssets_colex, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
+# successor-table steps one walk call may build, C(n,r)*C(r,s)*C(r-s,s):
+# at about 110 bytes of Python tuples per step, 2**21 steps hold ~0.25 GB,
+# and building them peaks near 0.6 GB
+MAX_TABLE_STEPS = 2**21
+
 
 @dataclass(frozen=True)
 class _Tables:
-    """Per-(n,r,s) lookup tables shared by all walk enumerations; succ[a]
+    """Per-(n,r,s) lookup tables, built by each walk call for itself; succ[a]
     holds the steps (b, j) to a disjoint stop b over an edge j, by (b, j)."""
 
     ssets: tuple[SSet, ...]
@@ -67,7 +71,6 @@ class _Tables:
     succ: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@lru_cache(maxsize=None)
 def _tables(n: int, r: int, s: int) -> _Tables:
     ssets = tuple(ssets_colex(n, s))
     rarr = colex_unrank(np.arange(binom(n, r)), n, r)
@@ -123,11 +126,15 @@ def _checked_tables(
     n: int, r: int, s: int, t: int, budget: int | None
 ) -> tuple[_Tables, int]:
     """The walk layer's one entry check: a non-loose s, then t < 1, then a
-    bad budget is rejected before the tables are built; returns (tables, limit)."""
+    bad budget, then a table past MAX_TABLE_STEPS is rejected before the
+    tables are built; returns (tables, limit)."""
     _check_loose(r, s)
     if t < 1:
         raise BadParams(f"walk length must be >= 1, got {t}")
     limit = _work_budget(budget)
+    steps = binom(n, r) * binom(r, s) * binom(r - s, s)
+    if steps > MAX_TABLE_STEPS:
+        raise TooLarge(f"walk table of {steps} steps exceeds the cap of {MAX_TABLE_STEPS}")
     return _tables(n, r, s), limit
 
 

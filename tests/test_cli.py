@@ -14,6 +14,7 @@ from hyperlap import (RandomModel, build_aux, complete, load_matrix,
                       normalized_laplacian, read_hypergraph, sample,
                       write_hypergraph)
 import hyperlap.cli as cli
+import hyperlap.walks as walks
 from hyperlap.cli import ExperimentConfig, main, run, trial_seed
 
 
@@ -189,9 +190,13 @@ def test_trials_rejected_for_complete(capsys):
     assert exc.value.code == 2
 
 
+def _strict(const):
+    raise ValueError(f"{const} is not JSON")
+
+
 def _run(argv, capsys):
     code = main(argv + ["--deterministic"])
-    return code, json.loads(capsys.readouterr().out)
+    return code, json.loads(capsys.readouterr().out, parse_constant=_strict)
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,6 +223,13 @@ def _run(argv, capsys):
     ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "0"],
     ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--steps", "0",
      "--trials", "2"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--slack", "nan"],
+    ["spectrum", "--n", "8", "--r", "3", "--s", "1", "--complete", "--tol", "nan"],
+    ["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--ks-tol", "nan"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--tol", "inf"],
+    ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--slack", "-1"],
+    ["expansion", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--family-frac",
+     "nan"],
 ])
 def test_bad_value_is_a_bad_params_document(argv, capsys):
     code, doc = _run(argv, capsys)
@@ -245,13 +257,45 @@ def test_bad_stop_size_is_a_not_loose_document(argv, capsys):
                                        else "NotLoose")
 
 
-@pytest.mark.parametrize("env", ["abc", "0", "-5"])
-def test_bad_budget_env_is_a_usage_error(env, monkeypatch, capsys):
-    monkeypatch.setenv("HYPERLAP_BUDGET", env)
-    code, doc = _run(["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5"],
-                     capsys)
+@pytest.mark.parametrize("env", ["abc", "0", "1"])
+def test_budget_env_is_ignored(env, monkeypatch, capsys):
+    """A run depends on its flags only: HYPERLAP_BUDGET, once a second way
+    to set the budget, changes no byte and no exit code."""
+    runs = [["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5"],
+            ["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "4"]]
+    for argv in runs:
+        monkeypatch.delenv("HYPERLAP_BUDGET", raising=False)
+        plain = main(argv + ["--deterministic"]), capsys.readouterr().out
+        monkeypatch.setenv("HYPERLAP_BUDGET", env)
+        assert (main(argv + ["--deterministic"]), capsys.readouterr().out) == plain
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["radius", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
+     "C(999999, 99) exceeds the float range"),
+    (["diagnostics", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
+     "C(999999, 99) exceeds the float range"),
+    (["semicircle", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
+     "C(99, 1)*C(999999, 99) exceeds the float range"),
+    (["diagnostics", "--n", "10000", "--r", "9990", "--s", "200", "--p", "0.5"],
+     "C(10000, 200) exceeds the float range"),
+    (["diagnostics", "--n", "1000000", "--r", "100", "--s", "50", "--p", "0.5"],
+     "the degree window or the sum-of-squares reference exceeds the float range"),
+    (["walk-count", "--n", "1000", "--r", "3", "--s", "1", "--t", "2"],
+     "walk table of 997002000 steps exceeds the cap of 2097152"),
+])
+def test_too_large_setup_is_a_document(argv, message, monkeypatch, capsys):
+    """A reference constant that no float can hold, or a walk table too large
+    to hold, is an exit-2 TooLarge document, not a traceback."""
+
+    def no_tables(*args):
+        raise AssertionError(f"_tables{args} built past the table cap")
+
+    monkeypatch.setattr(walks, "_tables", no_tables)
+    code, doc = _run(argv, capsys)
     assert code == 2
-    assert doc["summary"]["error"] == "BadParams"
+    assert doc["records"] == []
+    assert doc["summary"] == {"error": "TooLarge", "message": message}
 
 
 def test_semicircle_every_trial_errors(capsys):
@@ -372,13 +416,15 @@ CONTRACT_ARGV = [
 
 
 def _json_native(x) -> bool:
-    """x is built only from dict, list, str, int, float, bool and None,
-    exactly: no tuple, and no numpy scalar passing as a float subclass."""
+    """x is built only from dict, list, str, int, finite float, bool and
+    None, exactly: no tuple, and no numpy scalar passing as a float subclass."""
     if type(x) is dict:
         return all(type(k) is str and _json_native(v) for k, v in x.items())
     if type(x) is list:
         return all(_json_native(v) for v in x)
-    return type(x) in (str, int, float, bool, type(None))
+    if type(x) is float:
+        return math.isfinite(x)
+    return type(x) in (str, int, bool, type(None))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -517,8 +563,8 @@ def test_fuzz_flags_exit_codes_and_documents(argv):
     assert code in (0, 1, 2)
     text = out.getvalue()
     if text.startswith("# config "):
-        json.loads(text.splitlines()[0][len("# config "):])
+        json.loads(text.splitlines()[0][len("# config "):], parse_constant=_strict)
         assert text.splitlines()[-1] in ("# pass=true", "# pass=false")
     else:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_strict)
         assert doc["pass"] is (code == 0)

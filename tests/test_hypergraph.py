@@ -200,6 +200,11 @@ def test_expected_stop_degree():
     assert expected_stop_degree(30, 3, 1, 0.5) == binom(29, 2) * 0.5
 
 
+def test_expected_stop_degree_past_the_float_range():
+    with pytest.raises(TooLarge, match=r"C\(999999, 99\) exceeds the float range"):
+        expected_stop_degree(10**6, 100, 1, 0.5)
+
+
 def test_degree_stats_complete():
     st_ = degree_stats(complete(8, 4), 2, d_ref=15)
     assert st_.min == st_.max == binom(6, 2) == 15

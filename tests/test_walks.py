@@ -1,8 +1,10 @@
 """Closed walk enumeration, censuses, moments, and the occurrence code."""
 
 import dataclasses
+import gc
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -152,6 +154,10 @@ def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
         entry(5, 4, 0, 0)  # s is checked before t
     with pytest.raises(BadParams, match="walk length must be >= 1, got 0"):
         entry(5, 4, 2, 0)
+    # C(1000, 3)*3*2 steps would take about 100 GB as Python tuples
+    with pytest.raises(TooLarge, match="walk table of 997002000 steps exceeds "
+                                       "the cap of 2097152"):
+        entry(1000, 3, 1, 2)
     # (5, 2, 1, 3) has no good walk, so no moment would ever see its p
     for p in (2.0, -1, math.nan, math.inf, Fraction(3, 2)):
         for exact in (False, True):
@@ -178,6 +184,25 @@ def test_budget_counts_states_pinned(point, least):
         run(budget)
         with pytest.raises(TooLarge, match=f"visited {budget - 1} states"):
             run(budget - 1)
+
+
+def test_walk_calls_keep_no_table():
+    """Each walk call builds its own table and frees it on return: the
+    (16, 4, 1) table holds about 2 MB while a call runs."""
+    calls = [
+        lambda: census(16, 4, 1, 2),
+        lambda: list(enumerate_closed_walks(16, 4, 1, 2, good_only=True)),
+        lambda: expected_trace(16, 4, 1, 2, 0.5),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            gc.collect()  # a full collection also empties the tuple free lists
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 0.1 * 2**20
 
 
 def test_search_depth_is_not_bounded_by_recursion():
@@ -465,7 +490,7 @@ def test_table_check_rejects_a_corrupt_table(step, monkeypatch):
     ca, _ = combin._disjoint_columns(3, 1)
     monkeypatch.setattr(walks, "_disjoint_columns", lambda r, s: (ca, ca))
     with pytest.raises(RuntimeError, match=match):
-        walks._tables.__wrapped__(5, 3, 1)
+        walks._tables(5, 3, 1)
 
 
 def _old_stop_degree_check(w):
