@@ -15,7 +15,6 @@ from .combin import (_check_loose, _disjoint_columns, _kneser_terms, as_sset, bi
 from .errors import (
     BadParams,
     DegenerateKneser,
-    DimMismatch,
     Disconnected,
     EmptyFamily,
     EmptySample,
@@ -128,28 +127,18 @@ def mixing_contraction(
     ts: TransitionSystem,
     bound: float,
     steps: int = 1,
-    initial: np.ndarray | None = None,
     tol: float = 1e-9,
 ) -> MixingReport:
     """Push start distributions through the walk and measure contraction.
 
     Each step reports max ||(q - pi) P||_pi / ||q - pi||_pi over the start
-    rows (point masses on every stop by default).  Start/step pairs whose
+    rows q, the point masses on every stop.  Start/step pairs whose
     incoming deviation is already ~0 are vacuous and counted in skipped.
     """
     if steps < 1:
         raise BadParams(f"need steps >= 1, got {steps}")
-    dim = ts.stationary.size
-    if initial is None:
-        starts = np.eye(dim)
-    else:
-        starts = np.atleast_2d(np.asarray(initial, dtype=np.float64))
-        if starts.shape[1] != dim:
-            raise DimMismatch(f"start rows have size {starts.shape[1]}, need {dim}")
-        if np.any(starts < -1e-12) or np.any(np.abs(starts.sum(axis=1) - 1) > 1e-9):
-            raise BadParams("start rows must be probability distributions")
     weight = 1.0 / ts.stationary
-    x = starts - ts.stationary
+    x = np.eye(ts.stationary.size) - ts.stationary
     prev = np.sqrt((x * x * weight).sum(axis=1))
     factors = np.zeros(steps)
     skipped = 0

@@ -10,17 +10,17 @@ when --output is given, and byte-stable when re-run with identical flags
 (--deterministic drops the one timestamp field).
 
 Exit status: 0 when the run's check passes, 1 on a tolerance failure or a
-trial-level error (reported as a structured record), 2 on a usage error.
-A bad parameter value -- --p outside (0, 1), a negative --n or --seed, a
-budget below 1, --trials, --bins or --steps below 1, --family-frac outside
-(0, 1], or a --tol, --slack or --ks-tol that is negative or not finite --
-is a usage error that still emits a structured BadParams document, whose
-config echo writes a non-finite value as the string "nan" or "inf".  So
-is an r outside [1, n] or a stop size that is not loose, wherever n and r
-do not come from --input (walk-count included).  So is an --output or
---dump-matrix path that cannot be written; an unwritable --output sends
-its document to stdout.  A reference constant past the float range, or a
-walk table past walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document.
+trial-level error (reported as a structured record), 2 on a usage or
+setup error.  argparse rejects only syntax: an unknown or missing flag, a
+malformed number, a bad choice.  _check_params refuses every run that the
+flag values alone decide (not exactly one source, a bad value, a stop
+size that is not loose, s-sets past the dense cap) before any instance is
+sampled, read or built: an exit-2 document from main, the same
+HyperlapError from run().  The config echo writes a non-finite value as
+the string "nan" or "inf".  An --output or --dump-matrix path that cannot
+be written is BadParams; an unwritable --output sends its document to
+stdout.  A reference constant past the float range, or a walk table past
+walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ from .spectra import (
 from .walks import census, census_upper_bound
 from . import apps
 
+
+# one record per histogram bin, so the bin count bounds the report's size
+MAX_BINS = 10**4
 
 # output is an execution mechanic, not part of the experiment: the echo
 # omits it so runs that differ only there compare byte-identical
@@ -169,10 +172,6 @@ def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
         except (OSError, UnicodeDecodeError) as exc:
             raise BadParams(f"cannot read --input: {exc}") from exc
     if cfg.use_complete:
-        # the dense cap needs only n and s, so check it before C(n,r) edges
-        # are built: at --s, or at s = 1 .. r/2 in order for monotonicity
-        for s in [cfg.s] if cfg.s is not None else range(1, cfg.r // 2 + 1):
-            _dense_dim(cfg.n, s)
         return complete(cfg.n, cfg.r)
     return sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), cfg.budget)
 
@@ -375,9 +374,9 @@ def _run_monotonicity(cfg: ExperimentConfig):
 
 def _run_diagnostics(cfg: ExperimentConfig):
     d = expected_stop_degree(cfg.n, cfg.r, cfg.s, cfg.p)
-    count = binom(cfg.n, cfg.s)
+    count = binom(cfg.n, cfg.s)  # at most MAX_DENSE_DIM: _check_params caps it
     window = 3.0 * math.sqrt(d * math.log(count))
-    reference = _to_float(count, f"C({cfg.n}, {cfg.s})") * d * (1.0 - cfg.p)
+    reference = count * d * (1.0 - cfg.p)
     if math.isinf(window) or math.isinf(reference):
         raise TooLarge("the degree window or the sum-of-squares reference exceeds "
                        "the float range")
@@ -442,7 +441,7 @@ _OPTIONS = {
 }
 _COMMON = ("--seed", "--trials", "--format", "--output", "--budget", "--deterministic")
 # instance source -> its flags; a trailing "?" makes a required flag optional.
-# "any": --complete, --input or --p (main insists on one); "p": --p only.
+# "any": exactly one of --complete, --input and --p; "p": --p only.
 _SOURCE_FLAGS = {
     None: (),
     "p": ("--p",),
@@ -506,15 +505,27 @@ _SUBCOMMANDS = {
 
 
 def _check_params(cfg: ExperimentConfig) -> None:
-    """Reject bad parameter values once, before any reference constant.
+    """Refuse every run the flags alone decide, before any reference
+    constant and before any instance is sampled, read or built.
 
-    Unless the instance is read from --input, whose n and r come from the
-    file and are checked per trial, r must lie in [1, n] and the stop size
-    must be loose before any trial runs; monotonicity, which sweeps s from
-    1, needs s = 1 to be loose.  walk-count, whose walks live in the
-    complete hypergraph on range(n), has no census at all when r > n; it
-    checks the stop size first, as census itself does.
+    An "any"-source subcommand needs exactly one source, and --p for more
+    than one trial.  Unless n and r come from an --input file, checked per
+    trial, r must lie in [1, n], the stop size must be loose and its s-sets
+    must fit the dense cap; monotonicity sweeps s = 1 .. r/2, so s = 1 must
+    be loose and every s must fit.  walk-count builds no dense matrix; its
+    walks live on range(n), so r > n has no census, and it checks the stop
+    size first, as census does.
     """
+    source = _SUBCOMMANDS[cfg.subcommand].source
+    if source == "any":
+        given = [flag for flag, on in (("--complete", cfg.use_complete),
+                                       ("--input", cfg.input_path),
+                                       ("--p", cfg.p is not None)) if on]
+        if len(given) != 1:
+            raise BadParams(f"{cfg.subcommand} needs exactly one of --complete, --input "
+                            f"and --p, got {', '.join(given) or 'none'}")
+        if cfg.trials > 1 and cfg.p is None:
+            raise BadParams(f"--trials > 1 needs --p, got {cfg.trials} with {given[0]}")
     _work_budget(cfg.budget)
     if cfg.seed < 0:
         raise BadParams(f"seed must be nonnegative, got {cfg.seed}")
@@ -524,8 +535,8 @@ def _check_params(cfg: ExperimentConfig) -> None:
         raise BadParams(f"need 0 < p < 1, got {cfg.p}")
     if cfg.trials < 1:
         raise BadParams(f"need trials >= 1, got {cfg.trials}")
-    if cfg.bins < 1:
-        raise BadParams(f"need bins >= 1, got {cfg.bins}")
+    if not 1 <= cfg.bins <= MAX_BINS:
+        raise BadParams(f"need 1 <= bins <= {MAX_BINS}, got {cfg.bins}")
     if cfg.steps < 1:
         raise BadParams(f"need steps >= 1, got {cfg.steps}")
     if not 0 < cfg.family_frac <= 1:
@@ -534,12 +545,16 @@ def _check_params(cfg: ExperimentConfig) -> None:
         if not 0 <= getattr(cfg, name) < math.inf:
             raise BadParams(f"need a finite {name} >= 0, got {getattr(cfg, name)}")
     walks = cfg.subcommand == "walk-count"
+    built = source is not None and not cfg.input_path
     if walks:
         _check_loose(cfg.r, cfg.s)
-    if walks or (_SUBCOMMANDS[cfg.subcommand].source and not cfg.input_path):
+    if walks or built:
         if not 1 <= cfg.r <= cfg.n:
             raise BadParams(f"need 1 <= r <= n, got r={cfg.r}, n={cfg.n}")
         _check_loose(cfg.r, 1 if cfg.s is None else cfg.s)
+    if built:
+        for s in [cfg.s] if cfg.s is not None else range(1, cfg.r // 2 + 1):
+            _dense_dim(cfg.n, s)
 
 
 def _stamp(cfg: ExperimentConfig) -> str | None:
@@ -642,15 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    cfg = ExperimentConfig(**vars(parser.parse_args(argv)))
-
-    if _SUBCOMMANDS[cfg.subcommand].source == "any":
-        if not (cfg.use_complete or cfg.input_path or cfg.p is not None):
-            parser.error(f"{cfg.subcommand} needs --complete, --input, or --p")
-        if (cfg.use_complete or cfg.input_path) and cfg.trials > 1:
-            parser.error("--trials > 1 only makes sense with --p")
-
+    cfg = ExperimentConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(cfg)
         code = 0 if report.passed else 1

@@ -14,6 +14,7 @@ from hyperlap import (RandomModel, build_aux, complete, load_matrix,
                       normalized_laplacian, read_hypergraph, sample,
                       write_hypergraph)
 import hyperlap.cli as cli
+import hyperlap.errors as errors
 import hyperlap.walks as walks
 from hyperlap.cli import ExperimentConfig, main, run, trial_seed
 
@@ -82,9 +83,11 @@ def test_exit_one_on_trial_error(capsys):
 
 
 def test_exit_two_on_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--n", "10", "--r", "4", "--s", "2"])  # no source
-    assert exc.value.code == 2
+    # no instance source
+    code, doc = _run(["spectrum", "--n", "10", "--r", "4", "--s", "2"], capsys)
+    assert code == 2
+    assert doc["summary"]["error"] == "BadParams"
+    assert doc["records"] == [] and doc["pass"] is False
 
 
 def test_exit_two_on_bad_stop_size(capsys):
@@ -184,10 +187,12 @@ def test_input_fixture(tmp_path, capsys):
 
 
 def test_trials_rejected_for_complete(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mixing", "--n", "8", "--r", "4", "--s", "2", "--complete",
-              "--trials", "3"])
-    assert exc.value.code == 2
+    code, doc = _run(["mixing", "--n", "8", "--r", "4", "--s", "2", "--complete",
+                      "--trials", "3"], capsys)
+    assert code == 2
+    assert doc["summary"] == {"error": "BadParams",
+                              "message": "--trials > 1 needs --p, got 3 with --complete"}
+    assert doc["records"] == [] and doc["pass"] is False
 
 
 def _strict(const):
@@ -271,15 +276,15 @@ def test_budget_env_is_ignored(env, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["radius", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
-     "C(999999, 99) exceeds the float range"),
-    (["diagnostics", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
-     "C(999999, 99) exceeds the float range"),
-    (["semicircle", "--n", "1000000", "--r", "100", "--s", "1", "--p", "0.5"],
-     "C(99, 1)*C(999999, 99) exceeds the float range"),
-    (["diagnostics", "--n", "10000", "--r", "9990", "--s", "200", "--p", "0.5"],
-     "C(10000, 200) exceeds the float range"),
-    (["diagnostics", "--n", "1000000", "--r", "100", "--s", "50", "--p", "0.5"],
+    (["radius", "--n", "2000", "--r", "1000", "--s", "1", "--p", "0.5"],
+     "C(1999, 999) exceeds the float range"),
+    (["diagnostics", "--n", "2000", "--r", "1000", "--s", "1", "--p", "0.5"],
+     "C(1999, 999) exceeds the float range"),
+    (["semicircle", "--n", "2000", "--r", "1000", "--s", "1", "--p", "0.5"],
+     "C(999, 1)*C(1999, 999) exceeds the float range"),
+    (["diagnostics", "--n", "1500", "--r", "275", "--s", "1", "--p", "0.5"],
+     "the degree window or the sum-of-squares reference exceeds the float range"),
+    (["diagnostics", "--n", "2000", "--r", "228", "--s", "1", "--p", "0.5"],
      "the degree window or the sum-of-squares reference exceeds the float range"),
     (["walk-count", "--n", "1000", "--r", "3", "--s", "1", "--t", "2"],
      "walk table of 997002000 steps exceeds the cap of 2097152"),
@@ -325,9 +330,48 @@ def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
     assert doc["records"] == [] and doc["summary"] == too_large
     # monotonicity passes s = 1 (65 stops) and fails at s = 2
     code, doc = _run(["monotonicity", "--complete", "--n", "65", "--r", "4"], capsys)
-    assert code == 1
-    assert doc["records"] == [{"trial": 0, **too_large}]
-    assert doc["summary"] == {"trials": 1, "holds": 0}
+    assert code == 2
+    assert doc["records"] == [] and doc["summary"] == too_large
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["mixing", "--n", "8", "--r", "4", "--s", "2"],
+     "BadParams", "mixing needs exactly one of --complete, --input and --p, got none"),
+    (["spectrum", "--n", "8", "--r", "4", "--s", "2", "--complete", "--input", "h.txt"],
+     "BadParams", "spectrum needs exactly one of --complete, --input and --p, "
+     "got --complete, --input"),
+    (["mixing", "--n", "8", "--r", "4", "--s", "2", "--complete", "--p", "0.5"],
+     "BadParams", "mixing needs exactly one of --complete, --input and --p, "
+     "got --complete, --p"),
+    (["diameter", "--n", "8", "--r", "4", "--s", "2", "--input", "h.txt", "--p", "0.5"],
+     "BadParams", "diameter needs exactly one of --complete, --input and --p, "
+     "got --input, --p"),
+    (["semicircle", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "1",
+      "--bins", "10001"],
+     "BadParams", "need 1 <= bins <= 10000, got 10001"),
+    (["radius", "--n", "70", "--r", "4", "--s", "2", "--p", "0.5"],
+     "TooLarge", "2415 s-sets exceed the dense budget of 2048"),
+    (["diagnostics", "--n", "26", "--r", "25", "--s", "12", "--p", "0.5", "--trials", "1"],
+     "TooLarge", "9657700 s-sets exceed the dense budget of 2048"),
+])
+def test_setup_gate_refuses_before_any_instance(argv, error, message, monkeypatch,
+                                                capsys):
+    """Every run the flags alone can refuse is an exit-2 document from main
+    and the same error from run(), before any instance is sampled (h.txt
+    is never opened either)."""
+
+    def no_sample(model, budget):
+        raise AssertionError(f"sampled {model} past the setup gate")
+
+    monkeypatch.setattr(cli, "sample", no_sample)
+    code, doc = _run(argv, capsys)
+    assert code == 2
+    assert doc["records"] == [] and doc["pass"] is False
+    assert doc["summary"] == {"error": error, "message": message}
+    cfg = ExperimentConfig(**vars(cli._build_parser().parse_args(argv)))
+    with pytest.raises(getattr(errors, error)) as exc:
+        run(cfg)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("data", [None, b"x 2 1\n0 1\n", b"5 2 1\n0 1.5\n",
