@@ -139,7 +139,7 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
     limit = _work_budget(budget)
     count = binom(model.n, model.r)
     if count > limit:
-        raise TooLarge(f"{count} candidate edges exceed budget {limit}")
+        raise TooLarge(f"C({model.n}, {model.r}) candidate edges exceed budget {limit}")
     rng = np.random.default_rng(model.seed)
     kept = [
         start + np.flatnonzero(rng.random(min(_DRAW_BLOCK, count - start)) < model.p)

@@ -80,7 +80,7 @@ def _dense_dim(n: int, s: int) -> int:
     or TooLarge past MAX_DENSE_DIM; it needs no hypergraph to check."""
     dim = binom(n, s)
     if dim > MAX_DENSE_DIM:
-        raise TooLarge(f"{dim} s-sets exceed the dense budget of {MAX_DENSE_DIM}")
+        raise TooLarge(f"C({n}, {s}) s-sets exceed the dense budget of {MAX_DENSE_DIM}")
     return dim
 
 

@@ -323,7 +323,7 @@ def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "complete", no_complete)
     too_large = {"error": "TooLarge",
-                 "message": "2080 s-sets exceed the dense budget of 2048"}
+                 "message": "C(65, 2) s-sets exceed the dense budget of 2048"}
     code, doc = _run(["spectrum", "--complete", "--n", "65", "--r", "4", "--s", "2"],
                      capsys)
     assert code == 2
@@ -350,9 +350,12 @@ def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
       "--bins", "10001"],
      "BadParams", "need 1 <= bins <= 10000, got 10001"),
     (["radius", "--n", "70", "--r", "4", "--s", "2", "--p", "0.5"],
-     "TooLarge", "2415 s-sets exceed the dense budget of 2048"),
+     "TooLarge", "C(70, 2) s-sets exceed the dense budget of 2048"),
     (["diagnostics", "--n", "26", "--r", "25", "--s", "12", "--p", "0.5", "--trials", "1"],
-     "TooLarge", "9657700 s-sets exceed the dense budget of 2048"),
+     "TooLarge", "C(26, 12) s-sets exceed the dense budget of 2048"),
+    # C(100000, 3000) has about 5,850 digits, too many to write out as a str
+    (["radius", "--n", "100000", "--r", "6000", "--s", "3000", "--p", "0.5"],
+     "TooLarge", "C(100000, 3000) s-sets exceed the dense budget of 2048"),
 ])
 def test_setup_gate_refuses_before_any_instance(argv, error, message, monkeypatch,
                                                 capsys):

@@ -168,8 +168,11 @@ def test_sample_blocks_match_one_draw(block, monkeypatch):
 
 
 def test_sample_respects_budget():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"C\(12, 6\) candidate edges exceed budget 100"):
         sample(RandomModel(12, 6, 0.5, 0), budget=100)
+    # C(100000, 3000) has about 5,850 digits, too many to write out as a str
+    with pytest.raises(TooLarge, match=r"C\(100000, 3000\) candidate edges"):
+        sample(RandomModel(100000, 3000, 0.5, 0))
 
 
 def test_sample_near_one_is_complete():

@@ -59,7 +59,7 @@ def test_build_aux_rejects_tight():
     with pytest.raises(NotLoose):
         build_aux(complete(6, 4), 3)
     # C(65, 2) = 2080 s-sets, past the 2048 dense cap
-    with pytest.raises(TooLarge, match="2080.*2048"):
+    with pytest.raises(TooLarge, match=r"C\(65, 2\) s-sets exceed the dense budget of 2048"):
         build_aux(hypergraph(65, 4, []), 2)
 
 
