@@ -19,8 +19,10 @@ sampled, read or built: an exit-2 document from main, the same
 HyperlapError from run().  The config echo writes a non-finite value as
 the string "nan" or "inf".  An --output or --dump-matrix path that cannot
 be written is BadParams; an unwritable --output sends its document to
-stdout.  A reference constant past the float range, or a walk table past
-walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document.
+stdout.  A reference constant or a census bound past the float range, or
+a walk table past walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document;
+walk-count tabulates min(n, J) vertices, at most J = s + (t // 2)(r - s),
+so a large n alone never reaches the table cap.
 """
 
 from __future__ import annotations

@@ -19,14 +19,29 @@ has more single-occurrence edges than steps left.  Its last two steps
 branch only to stops that can still close: the closing steps back to the
 first stop a0 are a0's own steps reversed, read once per root.
 
-Rooting: the complete hypergraph is symmetric under every permutation of
-range(n), and the permutations act transitively on the stops, so each of
-the C(n,s) stops is the first stop of equally many good walks in every
-(distinct edges, distinct vertices) cell and every multiplicity profile.
-census and expected_trace therefore count only the walks from stop rank 0
-(_rooted_counts) and multiply each integer count by C(n,s) before any
-float arithmetic, so their results are the same, bit for bit, as a search
-from every stop.  enumerate_closed_walks still yields every walk.
+Counting without n: census and expected_trace count the good walks by
+(distinct edges i, distinct vertices j, multiplicity profile) and use two
+exact reductions (_walk_profiles), both from the symmetry of the complete
+hypergraph under every permutation of range(n), which keeps each class.
+(a) A good t-walk has at most J = s + (t // 2)(r - s) vertices, so the
+search runs on m = min(n, J) vertices: each j-set of range(n) carries
+equally many walks, so a class with j vertices has C(n, j)/C(m, j) times
+its count on m vertices, an exact division (checked, RuntimeError).
+(b) The permutations act transitively on the steps (a, b, F), so every
+step is the first step of equally many walks of a class: the search
+counts the walks whose first step is succ[0][0] and multiplies by the
+C(m,s)*C(m-s,s)*C(m-2s,r-2s) steps.  Each integer count is scaled before
+any float arithmetic, so results are the same, bit for bit, as a search
+from every stop.  First-met order is kept too.  The search is
+lexicographic in (stop rank, edge rank) pairs, and colex ranks do not
+depend on n.  A class with a walk from stop 0 has one through every step
+from stop 0, so its least walk starts with the least step succ[0][0]:
+those walks are a prefix of the search from stop 0.  Its least walk
+uses exactly the vertices range(j): were some u >= j used and v < j not,
+the transposition (u v) keeps the class and stop 0 and lowers the rank of
+every set holding u.  So the classes are first met in the same order at
+every n.  enumerate_closed_walks still yields every walk, from every stop,
+on all n vertices.
 
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
@@ -46,11 +61,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns,
+from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns, _to_float,
                      _work_budget, binom, catalan, colex_unrank, ssets_colex, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
@@ -127,22 +142,23 @@ def _checked_tables(
 ) -> tuple[_Tables, int]:
     """The walk layer's one entry check: a non-loose s, then t < 1, then a
     bad budget, then a table past MAX_TABLE_STEPS is rejected before the
-    tables are built; returns (tables, limit)."""
+    tables are built; returns (tables, limit).  The message names the
+    binomials, since Python refuses to print an int past 4300 digits."""
     _check_loose(r, s)
     if t < 1:
         raise BadParams(f"walk length must be >= 1, got {t}")
     limit = _work_budget(budget)
-    steps = binom(n, r) * binom(r, s) * binom(r - s, s)
-    if steps > MAX_TABLE_STEPS:
-        raise TooLarge(f"walk table of {steps} steps exceeds the cap of {MAX_TABLE_STEPS}")
+    if binom(n, r) * binom(r, s) * binom(r - s, s) > MAX_TABLE_STEPS:
+        raise TooLarge(f"C({n}, {r})*C({r}, {s})*C({r - s}, {s}) walk-table steps "
+                       f"exceed the cap of {MAX_TABLE_STEPS}")
     return _tables(n, r, s), limit
 
 
 def _raw_walks(
-    tab: _Tables, t: int, good_only: bool, limit: int, roots: int
+    tab: _Tables, t: int, good_only: bool, limit: int, rooted: bool
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (stop ranks, edge ranks) for every closed t-walk whose first
-    stop rank is below roots, root by root.
+    """Yield (stop ranks, edge ranks) for every closed t-walk, root by root,
+    or when rooted only those whose first step is succ[0][0].
 
     Depth-first search on a stack of branch iterators, one per step taken,
     so a walk of any length t needs no recursion.  Prunes on goodness when
@@ -153,6 +169,7 @@ def _raw_walks(
     limit search states is TooLarge.
     """
     succ = tab.succ
+    roots = min(1, len(succ)) if rooted else len(succ)
     nodes = 0
     for a0 in range(roots):
         # close[b]: the steps (a0, j) from b back to a0, in j order
@@ -172,7 +189,8 @@ def _raw_walks(
             return near[a]
 
         stops, edges, counts, singles = [a0], [], {}, 0
-        its = [iter(branch(a0, 1))]
+        first = branch(a0, 1)
+        its = [iter(first[:1] if rooted else first)]
         while its:
             st = len(its)
             for b, j in its[-1]:
@@ -270,29 +288,37 @@ def enumerate_closed_walks(
     on range(n), in deterministic colex-driven order."""
     tab, limit = _checked_tables(n, r, s, t, budget)
     ssets, rsets, walk = tab.ssets, tab.rsets, ClosedWalk._trusted
-    for sidx, eidx in _raw_walks(tab, t, good_only, limit, len(ssets)):
+    for sidx, eidx in _raw_walks(tab, t, good_only, limit, False):
         yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
 
 
-def _rooted_counts(
-    n: int, r: int, s: int, t: int, budget: int | None,
-    key: Callable[[_Tables, tuple[int, ...]], Hashable],
-) -> dict:
-    """Good closed t-walks counted by key(tables, edge ranks) in first-met
-    order, from stop rank 0 and scaled by C(n,s) (see the module docstring)."""
-    tab, limit = _checked_tables(n, r, s, t, budget)
-    stops = len(tab.ssets)
-    walks = _raw_walks(tab, t, True, limit, min(1, stops))
-    return {k: c * stops for k, c in Counter(key(tab, e) for _, e in walks).items()}
+def _walk_profiles(
+    n: int, r: int, s: int, t: int, budget: int | None
+) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """Good closed t-walks on range(n) counted by (distinct edges, distinct
+    vertices, sorted edge multiplicities), in first-met order.
 
-
-def _cell(tab: _Tables, eidx: tuple[int, ...]) -> tuple[int, int]:
-    """(distinct edges, distinct vertices) of a walk's edge ranks."""
-    es = set(eidx)
-    m = 0
-    for j in es:
-        m |= tab.rmask[j]
-    return len(es), m.bit_count()
+    Searches only the walks on m = min(n, J) vertices whose first step is
+    succ[0][0], and scales each integer count exactly (see the module
+    docstring): by the number of steps, then by C(n, j)/C(m, j)."""
+    m = min(n, s + t // 2 * (r - s))
+    tab, limit = _checked_tables(m, r, s, t, budget)
+    keys: Counter = Counter()
+    for _, e in _raw_walks(tab, t, True, limit, True):
+        mult = Counter(e)
+        vs = 0
+        for j in mult:
+            vs |= tab.rmask[j]
+        keys[len(mult), vs.bit_count(), tuple(sorted(mult.values()))] += 1
+    steps = sum(map(len, tab.succ))
+    out = {}
+    for (i, j, prof), c in keys.items():
+        per_set, rem = divmod(c * steps, binom(m, j))
+        if rem:
+            raise RuntimeError(f"{c * steps} walks in cell ({i}, {j}) on {m} vertices "
+                               f"are not a multiple of C({m}, {j})")
+        out[i, j, prof] = per_set * binom(n, j)
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,7 +343,10 @@ class WalkCensus:
 def census(n: int, r: int, s: int, t: int, budget: int | None = None) -> WalkCensus:
     """Count good closed t-walks by (i, j) = (#distinct edges, #distinct
     vertices), in the order in which the full enumeration first meets them."""
-    return WalkCensus(n, r, s, t, _rooted_counts(n, r, s, t, budget, _cell))
+    counts: Counter = Counter()
+    for (i, j, _), c in _walk_profiles(n, r, s, t, budget).items():
+        counts[i, j] += c
+    return WalkCensus(n, r, s, t, dict(counts))
 
 
 def edge_moment(q: int, p) -> float | Fraction:
@@ -347,13 +376,18 @@ def expected_trace(
     _check_probability(p)
     if exact and not isinstance(p, Fraction):
         p = Fraction(p)
-    # keyed by the sorted edge multiplicities
-    profiles = _rooted_counts(
-        n, r, s, t, budget, lambda tab, e: tuple(sorted(Counter(e).values()))
-    )
+    # keyed by the sorted edge multiplicities, each count summed before any
+    # float arithmetic, so the float total has the bits of a walk-by-walk sum
+    profiles: Counter = Counter()
+    for (_, _, prof), c in _walk_profiles(n, r, s, t, budget).items():
+        profiles[prof] += c
     total = Fraction(0) if exact else 0.0
     for prof, cnt in profiles.items():
+        if not exact:
+            cnt = _to_float(cnt, f"the number of good walks with multiplicities {prof}")
         total += cnt * math.prod(edge_moment(q, p) for q in prof)
+    if not exact and not math.isfinite(total):
+        raise TooLarge("the expected trace exceeds the float range")
     return total
 
 
@@ -390,9 +424,15 @@ def census_upper_bound(n: int, r: int, s: int, t: int, i: int, j: int) -> float:
     c1 = 4.0 * (r - s) ** 3
     c2 = binom(r, s) + 4 + 2.0 * binom(r, s - 1) / s
     shape = binom(t - 2, t - 2 * i) * i ** (t - 2 * i) * catalan(i)
-    base = shape * float(binom(r - s, s)) ** (t - i) * float(n) ** m
-    base /= math.factorial(s) ** (i + 1) * math.factorial(r - 2 * s) ** i
-    return base * (c1 * float(i) ** c2 / n) ** (m - j)
+    try:
+        base = shape * float(binom(r - s, s)) ** (t - i) * float(n) ** m
+        base /= math.factorial(s) ** (i + 1) * math.factorial(r - 2 * s) ** i
+        bound = base * (c1 * float(i) ** c2 / n) ** (m - j)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise TooLarge(f"the census bound of cell ({i}, {j}) exceeds the float range")
+    return bound
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperlap import (RandomModel, build_aux, complete, load_matrix,
+from hyperlap import (RandomModel, binom, build_aux, complete, load_matrix,
                       normalized_laplacian, read_hypergraph, sample,
                       write_hypergraph)
 import hyperlap.cli as cli
@@ -286,17 +286,22 @@ def test_budget_env_is_ignored(env, monkeypatch, capsys):
      "the degree window or the sum-of-squares reference exceeds the float range"),
     (["diagnostics", "--n", "2000", "--r", "228", "--s", "1", "--p", "0.5"],
      "the degree window or the sum-of-squares reference exceeds the float range"),
-    (["walk-count", "--n", "1000", "--r", "3", "--s", "1", "--t", "2"],
-     "walk table of 997002000 steps exceeds the cap of 2097152"),
+    (["walk-count", "--n", "1000", "--r", "30", "--s", "15", "--t", "2"],
+     "C(30, 30)*C(30, 15)*C(15, 15) walk-table steps exceed the cap of 2097152"),
+    (["walk-count", "--n", str(10**111), "--r", "3", "--s", "1", "--t", "4"],
+     "the census bound of cell (1, 3) exceeds the float range"),
 ])
 def test_too_large_setup_is_a_document(argv, message, monkeypatch, capsys):
     """A reference constant that no float can hold, or a walk table too large
     to hold, is an exit-2 TooLarge document, not a traceback."""
+    tables = walks._tables
 
-    def no_tables(*args):
-        raise AssertionError(f"_tables{args} built past the table cap")
+    def capped_tables(n, r, s):
+        if binom(n, r) * binom(r, s) * binom(r - s, s) > walks.MAX_TABLE_STEPS:
+            raise AssertionError(f"_tables{n, r, s} built past the table cap")
+        return tables(n, r, s)
 
-    monkeypatch.setattr(walks, "_tables", no_tables)
+    monkeypatch.setattr(walks, "_tables", capped_tables)
     code, doc = _run(argv, capsys)
     assert code == 2
     assert doc["records"] == []

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -129,15 +130,20 @@ def test_budget_guard():
         list(enumerate_closed_walks(5, 2, 1, 2, budget=17))
 
 
+# each entry with a point whose table is over the cap: enumerate_closed_walks
+# tabulates all n vertices, census and expected_trace only J of them
 _WALK_ENTRIES = [
-    lambda n, r, s, t: list(enumerate_closed_walks(n, r, s, t)),
-    lambda n, r, s, t: census(n, r, s, t),
-    lambda n, r, s, t: expected_trace(n, r, s, t, 0.5),
+    pytest.param(lambda n, r, s, t: list(enumerate_closed_walks(n, r, s, t)),
+                 (1000, 3, 1, 2), "C(1000, 3)*C(3, 1)*C(2, 1)", id="enumerate"),
+    pytest.param(lambda n, r, s, t: census(n, r, s, t),
+                 (1000, 30, 15, 2), "C(30, 30)*C(30, 15)*C(15, 15)", id="census"),
+    pytest.param(lambda n, r, s, t: expected_trace(n, r, s, t, 0.5),
+                 (1000, 30, 15, 2), "C(30, 30)*C(30, 15)*C(15, 15)", id="trace"),
 ]
 
 
-@pytest.mark.parametrize("entry", _WALK_ENTRIES, ids=["enumerate", "census", "trace"])
-def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
+@pytest.mark.parametrize("entry, over_cap, binoms", _WALK_ENTRIES)
+def test_bad_walk_params_rejected_before_tables(entry, over_cap, binoms, monkeypatch):
     """Every public walk function rejects a non-loose s, then t < 1, before
     it builds any walk table; expected_trace rejects a bad p before both."""
 
@@ -154,10 +160,15 @@ def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
         entry(5, 4, 0, 0)  # s is checked before t
     with pytest.raises(BadParams, match="walk length must be >= 1, got 0"):
         entry(5, 4, 2, 0)
-    # C(1000, 3)*3*2 steps would take about 100 GB as Python tuples
-    with pytest.raises(TooLarge, match="walk table of 997002000 steps exceeds "
-                                       "the cap of 2097152"):
-        entry(1000, 3, 1, 2)
+    # C(1000, 3)*3*2 steps would take about 100 GB as Python tuples, and
+    # C(30, 15) steps about 17 GB
+    cap = " walk-table steps exceed the cap of 2097152"
+    with pytest.raises(TooLarge, match=re.escape(binoms + cap)):
+        entry(*over_cap)
+    # the message names binomials: C(100000, 3000) has over 4300 digits,
+    # past what Python will print
+    with pytest.raises(TooLarge, match=re.escape(cap)):
+        entry(100000, 3000, 1, 2)
     # (5, 2, 1, 3) has no good walk, so no moment would ever see its p
     for p in (2.0, -1, math.nan, math.inf, Fraction(3, 2)):
         for exact in (False, True):
@@ -168,11 +179,12 @@ def test_bad_walk_params_rejected_before_tables(entry, monkeypatch):
 
 
 # the least budget at which census, the good-walk enumeration and the full
-# enumeration finish: the search states each visits, frozen
+# enumeration finish: the search states each visits, frozen; census visits
+# only the walks on min(n, J) vertices that start with the table's first step
 @pytest.mark.parametrize("point, least", [
-    ((5, 3, 1, 4), (1044, 5220, 28860)),
-    ((6, 4, 2, 4), (174, 2610, 4050)),
-    ((5, 2, 1, 5), (72, 360, 2460)),
+    ((5, 3, 1, 4), (87, 5220, 28860)),
+    ((6, 4, 2, 4), (29, 2610, 4050)),
+    ((5, 2, 1, 5), (8, 360, 2460)),
 ])
 def test_budget_counts_states_pinned(point, least):
     runs = [
@@ -217,6 +229,10 @@ def test_one_step_walks_do_not_exist():
     assert expected_trace(5, 2, 1, 1, 0.5) == 0.0
 
 
+def _point_id(point):
+    return "-".join(map(str, point))
+
+
 # the grid the rooting identity (ROADMAP item 2(a)) was first checked on
 _ROOTING_GRID = [(6, 3, 1, 4), (7, 3, 1, 4), (7, 2, 1, 6), (9, 4, 2, 4), (6, 3, 1, 6)]
 
@@ -249,6 +265,51 @@ def test_rooted_trace_matches_every_root(point):
         for prof, cnt in profiles.items()
     )
     assert expected_trace(*point, p, exact=True) == want
+
+
+# ROADMAP item 1's triples (r, s, t), each with n from r to J + 2, where a
+# good walk has at most J = s + (t // 2)(r - s) vertices: n <= J searches
+# every vertex, and n > J only J of them
+_RELABEL_GRID = [
+    (n, r, s, t)
+    for r, s, t in [(3, 1, 4), (3, 1, 5), (2, 1, 6), (4, 2, 4),
+                    (4, 1, 4), (5, 2, 4), (3, 1, 6), (4, 2, 6)]
+    for n in range(r, s + t // 2 * (r - s) + 3)
+]
+# every-root searches past 2 million states, 6 s to 60 s and more each;
+# (6, 3, 1, 6), at 1.8 million, is searched for _ROOTING_GRID anyway
+_EVERY_ROOT_TOO_SLOW = {(9, 4, 1, 4), (9, 5, 2, 4), (10, 5, 2, 4), (7, 3, 1, 6),
+                        (8, 3, 1, 6), (9, 3, 1, 6), (9, 4, 2, 6), (10, 4, 2, 6)}
+
+
+@pytest.mark.parametrize("point", _RELABEL_GRID, ids=_point_id)
+def test_relabelled_counts_match_every_root(point):
+    """census and expected_trace, searched from one first step on min(n, J)
+    vertices, against the every-root enumeration on all n: equal counts,
+    cells in the same first-met order, and profiles summed in the same
+    order, which the float trace shows to the last bit."""
+    if point in _EVERY_ROOT_TOO_SLOW:
+        pytest.skip("every-root search past 2 million states")
+    cells, profiles = _from_every_root(*point)
+    got = census(*point).counts
+    assert got == cells
+    assert list(got) == list(cells)
+    for p, exact in ((Fraction(1, 3), True), (0.3, False)):
+        want = Fraction(0) if exact else 0.0
+        for prof, cnt in profiles.items():
+            want += cnt * math.prod(edge_moment(q, p) for q in prof)
+        assert expected_trace(*point, p, exact=exact) == want
+
+
+def test_walk_counts_at_n_1000():
+    """At n = 1000 the searches run on J vertices and the closed forms hold:
+    t = 2 walks are the ordered stop pairs inside an edge, and the tree cell
+    is tree_walk_count."""
+    assert census(1000, 3, 1, 2).counts == {(1, 3): 997002000}
+    assert census(1000, 4, 2, 4).counts[2, 6] == tree_walk_count(1000, 4, 2, 2)
+    p = Fraction(1, 2)
+    pairs = binom(1000, 1) * binom(999, 1) * binom(998, 1)
+    assert expected_trace(1000, 3, 1, 2, p, exact=True) == pairs * p * (1 - p)
 
 
 def test_census_without_stops_is_empty():
@@ -362,6 +423,17 @@ def test_census_upper_bound_validation():
         census_upper_bound(6, 2, 1, 4, 3, 3)
     with pytest.raises(BadParams):
         census_upper_bound(6, 2, 1, 4, 2, 9)
+    with pytest.raises(TooLarge, match=r"cell \(1, 3\) exceeds the float range"):
+        census_upper_bound(10**111, 3, 1, 4, 1, 3)
+
+
+def test_expected_trace_past_the_float_range():
+    """A float trace whose walk count no float holds is TooLarge; the exact
+    trace is still a Fraction."""
+    with pytest.raises(TooLarge, match="exceeds the float range"):
+        expected_trace(10**200, 2, 1, 4, 0.5)
+    got = expected_trace(10**200, 2, 1, 4, Fraction(1, 2), exact=True)
+    assert isinstance(got, Fraction) and got > 0
 
 
 def test_stop_degree_check_single_edge():
@@ -423,10 +495,6 @@ _WALK_GRID = [
     for r in (2, 3, 4) for s in range(1, r // 2 + 1)
     for n in range(r, 8) for t in range(1, 6)
 ] + [(9, 4, 2, 4)]
-
-
-def _point_id(point):
-    return "-".join(map(str, point))
 
 
 @pytest.mark.parametrize("point", _WALK_GRID, ids=_point_id)
