@@ -14,15 +14,16 @@ trial-level error (reported as a structured record), 2 on a usage or
 setup error.  argparse rejects only syntax: an unknown or missing flag, a
 malformed number, a bad choice.  _check_params refuses every run that the
 flag values alone decide (not exactly one source, a bad value, a stop
-size that is not loose, s-sets past the dense cap) before any instance is
-sampled, read or built: an exit-2 document from main, the same
-HyperlapError from run().  The config echo writes a non-finite value as
-the string "nan" or "inf".  An --output or --dump-matrix path that cannot
-be written is BadParams; an unwritable --output sends its document to
-stdout.  A reference constant or a census bound past the float range, or
-a walk table past walks.MAX_TABLE_STEPS, is an exit-2 TooLarge document;
-walk-count tabulates min(n, J) vertices, at most J = s + (t // 2)(r - s),
-so a large n alone never reaches the table cap.
+size that is not loose, s-sets past the dense cap, more --complete edges
+than --budget) before any instance is sampled, read or built: an exit-2
+document from main, the same HyperlapError from run().  The config echo
+writes a non-finite value as the string "nan" or "inf".  An --output or
+--dump-matrix path that cannot be written is BadParams; an unwritable
+--output sends its document to stdout.  A reference constant or a census
+bound past the float range, or a walk table past walks.MAX_TABLE_STEPS,
+is an exit-2 TooLarge document; walk-count tabulates min(n, J) vertices,
+at most J = s + (t // 2)(r - s), so a large n alone never reaches the
+table cap.
 """
 
 from __future__ import annotations
@@ -514,9 +515,10 @@ def _check_params(cfg: ExperimentConfig) -> None:
     than one trial.  Unless n and r come from an --input file, checked per
     trial, r must lie in [1, n], the stop size must be loose and its s-sets
     must fit the dense cap; monotonicity sweeps s = 1 .. r/2, so s = 1 must
-    be loose and every s must fit.  walk-count builds no dense matrix; its
-    walks live on range(n), so r > n has no census, and it checks the stop
-    size first, as census does.
+    be loose and every s must fit, and --complete refuses more C(n, r)
+    edges than the budget, as sample refuses candidates.  walk-count builds
+    no dense matrix; its walks live on range(n), so r > n has no census,
+    and it checks the stop size first, as census does.
     """
     source = _SUBCOMMANDS[cfg.subcommand].source
     if source == "any":
@@ -528,7 +530,7 @@ def _check_params(cfg: ExperimentConfig) -> None:
                             f"and --p, got {', '.join(given) or 'none'}")
         if cfg.trials > 1 and cfg.p is None:
             raise BadParams(f"--trials > 1 needs --p, got {cfg.trials} with {given[0]}")
-    _work_budget(cfg.budget)
+    limit = _work_budget(cfg.budget)
     if cfg.seed < 0:
         raise BadParams(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.n is not None and cfg.n < 0:
@@ -557,6 +559,8 @@ def _check_params(cfg: ExperimentConfig) -> None:
     if built:
         for s in [cfg.s] if cfg.s is not None else range(1, cfg.r // 2 + 1):
             _dense_dim(cfg.n, s)
+        if cfg.use_complete and binom(cfg.n, cfg.r) > limit:
+            raise TooLarge(f"C({cfg.n}, {cfg.r}) edges exceed budget {limit}")
 
 
 def _stamp(cfg: ExperimentConfig) -> str | None:

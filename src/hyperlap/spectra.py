@@ -80,7 +80,7 @@ def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
     # as in SymMatrix: NaN fails the symmetry test, so check finiteness first
     if not np.isfinite(a).all():
         raise BadParams("matrix has non-finite entries")
-    if not np.allclose(a, a.T, atol=1e-10, rtol=0.0):
+    if not (np.abs(a - a.T) <= 1e-10).all():
         raise DimMismatch("matrix is not symmetric")
     return a
 

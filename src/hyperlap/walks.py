@@ -46,9 +46,10 @@ on all n vertices.
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
 enumerate_closed_walks yields are checked once per table instead: every
-step of every walk is a step of the successor table, so _check_tables
-verifies each step once, as the table is built, and the walks are then
-built without re-validation (ClosedWalk._trusted).  That holds for the
+step of every walk is a step of the table, so _check_tables verifies each
+row of its stop and edge arrays and each step once, as the table is
+built, and the walks are then built from those rows without
+re-validation (ClosedWalk._trusted).  That holds for the
 closing step (a, a0, j) too, though it is read off a0's step (a0, a, j):
 disjointness and containment are symmetric, so it joins disjoint stops
 inside its edge exactly when the checked step does.
@@ -66,80 +67,68 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns, _to_float,
-                     _work_budget, binom, catalan, colex_unrank, ssets_colex, subset_ranks)
+                     _work_budget, binom, catalan, colex_unrank, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
 # successor-table steps one walk call may build, C(n,r)*C(r,s)*C(r-s,s):
-# at about 110 bytes of Python tuples per step, 2**21 steps hold ~0.25 GB,
-# and building them peaks near 0.6 GB
+# at about 100-130 bytes of Python tuples per step, 2**21 steps hold
+# ~0.25 GB, and building them peaks near 0.6 GB (0.7 GB peak RSS)
 MAX_TABLE_STEPS = 2**21
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Per-(n,r,s) lookup tables, built by each walk call for itself; succ[a]
-    holds the steps (b, j) to a disjoint stop b over an edge j, by (b, j)."""
-
-    ssets: tuple[SSet, ...]
-    rsets: tuple[SSet, ...]
-    rmask: tuple[int, ...]
-    succ: tuple[tuple[tuple[int, int], ...], ...]
+def _masks(rows: np.ndarray) -> np.ndarray:
+    """Python-int bitmasks of the rows: vertex ids past 63 get their own bit."""
+    return (1 << rows.astype(object)).sum(axis=1)
 
 
-def _tables(n: int, r: int, s: int) -> _Tables:
-    ssets = tuple(ssets_colex(n, s))
-    rarr = colex_unrank(np.arange(binom(n, r)), n, r)
-    ranks = subset_ranks(rarr, n, s)
+def _tables(n: int, r: int, s: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Per-(n,r,s) walk tables, built by each walk call for itself: the
+    stops and the edges as colex-ranked rows of vertex ids, and succ[a],
+    the steps (b, j) to a disjoint stop b over an edge j, by (b, j)."""
+    stops = colex_unrank(np.arange(binom(n, s)), n, s)
+    edges = colex_unrank(np.arange(binom(n, r)), n, r)
+    ranks = subset_ranks(edges, n, s)
     ca, cb = _disjoint_columns(r, s)
     a = ranks[:, ca].ravel()
     b = ranks[:, cb].ravel()
-    j = np.repeat(np.arange(len(rarr)), len(ca))
+    j = np.repeat(np.arange(len(edges)), len(ca))
     order = np.lexsort((j, b, a))
     steps = list(zip(b[order].tolist(), j[order].tolist()))
-    ends = np.cumsum(np.bincount(a, minlength=len(ssets))).tolist()
+    ends = np.cumsum(np.bincount(a, minlength=len(stops))).tolist()
     succ = tuple(tuple(steps[lo:hi]) for lo, hi in zip([0] + ends, ends))
-    rsets = tuple(map(tuple, rarr.tolist()))
-    # Python-int bitmasks, so vertex ids past 63 still get their own bit
-    rmask = tuple((1 << rarr.astype(object)).sum(axis=1).tolist())
-    tab = _Tables(ssets, rsets, rmask, succ)
-    _check_tables(tab, r, s)
-    return tab
+    _check_tables(stops, edges, succ, r, s)
+    return stops, edges, succ
 
 
-def _set_masks(sets: Sequence[SSet], size: int) -> np.ndarray:
-    """Bitmasks of sets that must all be sorted size-sets, as Python ints."""
-    masks = []
-    for v in sets:
-        if len(v) != size or any(x >= y for x, y in zip(v, v[1:])):
-            raise RuntimeError(f"walk table holds {v}, not a sorted {size}-set")
-        masks.append(sum(1 << x for x in v))
-    return np.array(masks, dtype=object)
-
-
-def _check_tables(tab: _Tables, r: int, s: int) -> None:
+def _check_tables(stops: np.ndarray, edges: np.ndarray, succ: tuple, r: int, s: int) -> None:
     """The walk axioms, once for every step a walk can take: stops are
     sorted s-sets, edges sorted r-sets, and each step (a, b, j) of succ joins
-    disjoint stops a and b inside edge j.  The masks are rebuilt from the
-    tuples that walks are made of, not read from rmask.  Raises
-    RuntimeError, not assert, so that python -O keeps the check."""
-    smask = _set_masks(tab.ssets, s)
-    emask = _set_masks(tab.rsets, r)
-    a = np.repeat(np.arange(len(smask)), list(map(len, tab.succ)))
-    steps = chain.from_iterable(chain.from_iterable(tab.succ))
+    disjoint stops a and b inside edge j.  Checked on the rows that walks
+    are decoded from.  Raises RuntimeError, not assert, so that python -O
+    keeps the check."""
+    for rows, size in ((stops, s), (edges, r)):
+        unsorted = (np.diff(rows, axis=1) <= 0).any(axis=1) | (rows.shape[1] != size)
+        bad = np.flatnonzero(unsorted)
+        if bad.size:
+            raise RuntimeError(f"walk table holds {tuple(rows[bad[0]].tolist())}, "
+                               f"not a sorted {size}-set")
+    smask, emask = _masks(stops), _masks(edges)
+    a = np.repeat(np.arange(len(stops)), list(map(len, succ)))
+    steps = chain.from_iterable(chain.from_iterable(succ))
     b, j = np.fromiter(steps, dtype=np.int64).reshape(-1, 2).T
     sa, sb = smask[a], smask[b]
     bad = np.flatnonzero((sa & sb) | ((sa | sb) & ~emask[j]))
     if bad.size:
         k = bad[0]
         raise RuntimeError(
-            f"walk table step {tab.ssets[a[k]]} -> {tab.ssets[b[k]]} over "
-            f"{tab.rsets[j[k]]}: stops not disjoint or not inside the edge"
+            f"walk table step {tuple(stops[a[k]].tolist())} -> {tuple(stops[b[k]].tolist())} "
+            f"over {tuple(edges[j[k]].tolist())}: stops not disjoint or not inside the edge"
         )
 
 
 def _checked_tables(
     n: int, r: int, s: int, t: int, budget: int | None
-) -> tuple[_Tables, int]:
+) -> tuple[tuple[np.ndarray, np.ndarray, tuple], int]:
     """The walk layer's one entry check: a non-loose s, then t < 1, then a
     bad budget, then a table past MAX_TABLE_STEPS is rejected before the
     tables are built; returns (tables, limit).  The message names the
@@ -155,7 +144,7 @@ def _checked_tables(
 
 
 def _raw_walks(
-    tab: _Tables, t: int, good_only: bool, limit: int, rooted: bool
+    succ: tuple, t: int, good_only: bool, limit: int, rooted: bool
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (stop ranks, edge ranks) for every closed t-walk, root by root,
     or when rooted only those whose first step is succ[0][0].
@@ -168,7 +157,6 @@ def _raw_walks(
     too because disjointness and containment are symmetric.  More than
     limit search states is TooLarge.
     """
-    succ = tab.succ
     roots = min(1, len(succ)) if rooted else len(succ)
     nodes = 0
     for a0 in range(roots):
@@ -229,7 +217,7 @@ class ClosedWalk:
     F_i links S_i to S_{i+1}, with F_t closing back to S_1.  Stops and
     edges are canonical sorted vertex tuples.  The constructor checks the
     walk axioms on every call; the walks of enumerate_closed_walks skip it,
-    because their successor table was checked once (_check_tables).
+    because their rows and steps were checked once per table (_check_tables).
     """
 
     stops: tuple[SSet, ...]
@@ -286,9 +274,11 @@ def enumerate_closed_walks(
 ) -> Iterator[ClosedWalk]:
     """All closed s-walks of length t in the complete r-uniform hypergraph
     on range(n), in deterministic colex-driven order."""
-    tab, limit = _checked_tables(n, r, s, t, budget)
-    ssets, rsets, walk = tab.ssets, tab.rsets, ClosedWalk._trusted
-    for sidx, eidx in _raw_walks(tab, t, good_only, limit, False):
+    (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget)
+    ssets = tuple(map(tuple, stops.tolist()))
+    rsets = tuple(map(tuple, edges.tolist()))
+    walk = ClosedWalk._trusted
+    for sidx, eidx in _raw_walks(succ, t, good_only, limit, False):
         yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
 
 
@@ -302,15 +292,16 @@ def _walk_profiles(
     succ[0][0], and scales each integer count exactly (see the module
     docstring): by the number of steps, then by C(n, j)/C(m, j)."""
     m = min(n, s + t // 2 * (r - s))
-    tab, limit = _checked_tables(m, r, s, t, budget)
+    (_, edges, succ), limit = _checked_tables(m, r, s, t, budget)
+    emask = _masks(edges).tolist()
     keys: Counter = Counter()
-    for _, e in _raw_walks(tab, t, True, limit, True):
+    for _, e in _raw_walks(succ, t, True, limit, True):
         mult = Counter(e)
         vs = 0
         for j in mult:
-            vs |= tab.rmask[j]
+            vs |= emask[j]
         keys[len(mult), vs.bit_count(), tuple(sorted(mult.values()))] += 1
-    steps = sum(map(len, tab.succ))
+    steps = sum(map(len, succ))
     out = {}
     for (i, j, prof), c in keys.items():
         per_set, rem = divmod(c * steps, binom(m, j))

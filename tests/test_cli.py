@@ -321,7 +321,8 @@ def test_semicircle_every_trial_errors(capsys):
 
 def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
     """C(65, 2) = 2080 stops exceed the dense cap, so --complete fails before
-    it builds C(65, 4) edges, with the report it gave after building them."""
+    it builds C(65, 4) edges, with the report it gave after building them.
+    More C(n, r) edges than the budget fail before building too."""
 
     def no_complete(n, r):
         raise AssertionError(f"complete({n}, {r}) built past the dense cap")
@@ -337,6 +338,21 @@ def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
     code, doc = _run(["monotonicity", "--complete", "--n", "65", "--r", "4"], capsys)
     assert code == 2
     assert doc["records"] == [] and doc["summary"] == too_large
+    # the dense cap holds, but C(n, r) edges are past the budget
+    for argv, message in [
+        (["spectrum", "--complete", "--n", "40", "--r", "20", "--s", "1"],
+         "C(40, 20) edges exceed budget 100000000"),
+        (["spectrum", "--complete", "--n", "10", "--r", "4", "--s", "2", "--budget", "100"],
+         "C(10, 4) edges exceed budget 100"),
+    ]:
+        code, doc = _run(argv, capsys)
+        assert code == 2
+        assert doc["records"] == []
+        assert doc["summary"] == {"error": "TooLarge", "message": message}
+        cfg = ExperimentConfig(**vars(cli._build_parser().parse_args(argv)))
+        with pytest.raises(errors.TooLarge) as exc:
+            run(cfg)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("argv, error, message", [

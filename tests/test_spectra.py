@@ -45,6 +45,10 @@ def test_eigenvalues_empty():
 def test_eigenvalues_rejects_asymmetric():
     with pytest.raises(DimMismatch):
         eigenvalues_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the symmetry tolerance is 1e-10, inclusive
+    eigenvalues_sym(np.array([[0.0, 1e-10], [0.0, 0.0]]))
+    with pytest.raises(DimMismatch):
+        eigenvalues_sym(np.array([[0.0, 1.5e-10], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -1,6 +1,5 @@
 """Closed walk enumeration, censuses, moments, and the occurrence code."""
 
-import dataclasses
 import gc
 import hashlib
 import math
@@ -531,28 +530,32 @@ def test_enumeration_order_digest_pinned(point, good_only, count, digest):
     assert (k, h.hexdigest()) == (count, digest)
 
 
-def _self_step(tab):
-    _, j = tab.succ[0][0]
+def _self_step(stops, edges, succ):
+    _, j = succ[0][0]
     return 0, j  # stop 0 to itself, over an edge that holds it
 
 
-def _outside_step(tab):
-    b, _ = tab.succ[0][0]
-    return b, next(k for k, f in enumerate(tab.rsets) if tab.ssets[b][0] not in f)
+def _outside_step(stops, edges, succ):
+    b, _ = succ[0][0]
+    return b, next(k for k, f in enumerate(edges.tolist()) if stops[b][0] not in f)
 
 
 @pytest.mark.parametrize("step", [_self_step, _outside_step], ids=["self", "outside"])
 def test_table_check_rejects_a_corrupt_table(step, monkeypatch):
     match = "not disjoint or not inside the edge"
-    tab = walks._tables(5, 3, 1)
-    row = (step(tab),) + tab.succ[0][1:]
-    bad = dataclasses.replace(tab, succ=(row,) + tab.succ[1:])
+    stops, edges, succ = walks._tables(5, 3, 1)
+    row = (step(stops, edges, succ),) + succ[0][1:]
     with pytest.raises(RuntimeError, match=match):
-        walks._check_tables(bad, 3, 1)
-    walks._check_tables(tab, 3, 1)
-    unsorted = dataclasses.replace(tab, rsets=(tab.rsets[0][::-1],) + tab.rsets[1:])
+        walks._check_tables(stops, edges, (row,) + succ[1:], 3, 1)
+    walks._check_tables(stops, edges, succ, 3, 1)
+    unsorted = edges.copy()
+    unsorted[0] = (2, 1, 0)
     with pytest.raises(RuntimeError, match=r"\(2, 1, 0\), not a sorted 3-set"):
-        walks._check_tables(unsorted, 3, 1)
+        walks._check_tables(stops, unsorted, succ, 3, 1)
+    stops, edges, succ = walks._tables(6, 4, 2)
+    stops[0] = (1, 0)
+    with pytest.raises(RuntimeError, match=r"\(1, 0\), not a sorted 2-set"):
+        walks._check_tables(stops, edges, succ, 4, 2)
     # a table built wrong is refused by _tables itself: here every step
     # goes from a stop to itself
     ca, _ = combin._disjoint_columns(3, 1)
