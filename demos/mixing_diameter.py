@@ -26,7 +26,7 @@ from hyperlap import (
 n, r, s, p, seed = 12, 3, 1, 0.5, 1
 h = sample(RandomModel(n, r, p, seed))
 g = build_aux(h, s)
-print(f"instance: {len(h.edges)} edges on {n} vertices, s={s},"
+print(f"instance: {h.num_edges} edges on {n} vertices, s={s},"
       f" connected={is_connected(g)}")
 
 spec = eigenvalues_sym(normalized_laplacian(g).matrix)

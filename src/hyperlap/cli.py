@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -644,6 +645,7 @@ def emit(rep: ExperimentReport, cfg: ExperimentConfig) -> None:
 # ------------------------------------------------------------------- parser
 
 
+@functools.cache  # built on the first main() call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hyperlap",

@@ -1,8 +1,11 @@
 """r-uniform hypergraphs: construction, Bernoulli sampling, degrees, text io.
 
-A hypergraph is a frozen set of canonical r-tuples over range(n).  The
-Bernoulli model keeps each of the C(n,r) possible edges independently
-with probability p; sampling is deterministic given the seed.
+A hypergraph is one read-only (m, r) int64 array of edges over range(n).
+Each row is strictly increasing, and the rows are in strictly increasing
+colex order, the order colex_unrank gives for increasing ranks, so equal
+hypergraphs hold equal arrays.  The Bernoulli model keeps each of the
+C(n,r) possible edges independently with probability p; sampling is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -14,46 +17,101 @@ from typing import IO, Iterable
 import numpy as np
 
 from .combin import (SSet, _to_float, _work_budget, as_sset, binom, colex_unrank,
-                     ssets_colex, subset_ranks)
+                     subset_ranks)
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Hypergraph:
-    """An r-uniform hypergraph on vertex set range(n)."""
+    """An r-uniform hypergraph on vertex set range(n).
+
+    Hypergraph(n, r, edges) takes either the (m, r) int64 array itself, in
+    the canonical order of the module docstring, or a collection of
+    r-tuples in any order, each checked as as_sset would and then
+    colex-sorted.  Both end in the same check, _check_array.  A writable
+    array is copied, so the caller's later writes cannot reach the
+    hypergraph.
+    """
 
     n: int
     r: int
-    edges: frozenset[SSet]
-    # the edges again, as read-only (m, r) int64 rows in the order of edges
-    _edge_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_array: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise BadParams(f"need n >= 0, got {self.n}")
-        if self.r < 1:
-            raise BadParams(f"need r >= 1, got {self.r}")
-        arr = _check_edges(list(self.edges), self.n, self.r)
+    def __init__(self, n: int, r: int, edges: np.ndarray | Iterable[SSet]):
+        if n < 0:
+            raise BadParams(f"need n >= 0, got {n}")
+        if r < 1:
+            raise BadParams(f"need r >= 1, got {r}")
+        if isinstance(edges, np.ndarray):
+            arr = edges.copy() if edges.flags.writeable else edges
+        else:
+            arr = _check_edges(list(edges), n, r)
+            arr = arr[np.lexsort(arr.T)]
+        _check_array(arr, n, r)
         arr.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "_edge_array", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return ((self.n, self.r) == (other.n, other.r)
+                and np.array_equal(self._edge_array, other._edge_array))
+
+    def __hash__(self):
+        return hash((self.n, self.r, self._edge_array.tobytes()))
+
+    @property
+    def edges(self) -> frozenset[SSet]:
+        """The edges as r-tuples of Python ints, built on each call."""
+        return frozenset(map(tuple, self._edge_array.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self._edge_array)
 
     def degree(self, vertices: Iterable[int]) -> int:
         """Number of edges containing the given s-set, for any 1 <= s < r."""
         vs = as_sset(vertices, self.n)
         if len(vs) >= self.r:
             raise StopTooLarge(f"{len(vs)}-set is not a proper subset of {self.r}-edges")
-        want = set(vs)
-        return sum(1 for e in self.edges if want.issubset(e))
+        if vs[-1] >= 2**63:  # past every id the int64 array can hold
+            return 0
+        # the ids of a row are distinct, so it holds vs iff it meets all of vs
+        hits = np.isin(self._edge_array, vs).sum(axis=1)
+        return int((hits == len(vs)).sum())
+
+
+def _check_array(arr: np.ndarray, n: int, r: int) -> None:
+    """Raise BadVertex unless arr is an (m, r) int64 array of ids in
+    range(n) whose rows strictly increase and are in strictly increasing
+    colex order, which also rules out a repeated edge."""
+    if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != r:
+        raise BadVertex(f"edges must be an (m, {r}) int64 array, "
+                        f"got {arr.dtype} of shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or int(arr.max()) >= n):
+        raise BadVertex(f"a vertex id is outside range({n})")
+    bad = (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
+    if bad.any():
+        raise BadVertex(f"edge {tuple(arr[bad.argmax()].tolist())} is not increasing")
+    # colex compares two rows at the last column where they differ; equal
+    # rows differ nowhere, fall to column r - 1 and fail as well
+    a, b = arr[:-1], arr[1:]
+    last = r - 1 - (a != b)[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(a))
+    bad = a[rows, last] >= b[rows, last]
+    if bad.any():
+        k = bad.argmax()
+        raise BadVertex(f"edge {tuple(b[k].tolist())} does not follow "
+                        f"{tuple(a[k].tolist())} in strict colex order")
 
 
 def _check_edges(rows: list, n: int, r: int) -> np.ndarray:
-    """Raise BadVertex unless every edge is what as_sset makes of it: a
-    tuple of r strictly increasing integer vertex ids in range(n); return
-    the edges as an (m, r) int64 array.
+    """Raise BadVertex unless every edge is a tuple of r integer vertex ids
+    in range(n); return the edges as an (m, r) int64 array in the order of
+    rows.  _check_array then checks the order within and between rows, so
+    together they accept exactly the edges as_sset leaves unchanged.
 
     Types and lengths are checked once per distinct value, and the ids as
     one (m, r) array.  numpy widens a mix of signed and unsigned ids to
@@ -72,9 +130,9 @@ def _check_edges(rows: list, n: int, r: int) -> np.ndarray:
     if arr.dtype.kind == "f":
         arr = np.array(flat, dtype=object)
     arr = arr.reshape(-1, r)
-    bad = ((arr < 0) | (arr >= n)).any(axis=1) | (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
+    bad = ((arr < 0) | (arr >= n)).any(axis=1)
     if bad.any():
-        raise BadVertex(f"edge {rows[bad.argmax()]} is not canonical over range({n})")
+        raise BadVertex(f"edge {rows[bad.argmax()]} has a vertex outside range({n})")
     if n > 2**63 and arr.size and arr.max() >= 2**63:
         raise BadVertex("vertex ids past 2**63 - 1 do not fit the int64 edge array")
     return arr.astype(np.int64, copy=False)
@@ -88,14 +146,16 @@ def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
         if len(vs) != r:
             raise BadVertex(f"edge {tuple(e)} does not have {r} distinct vertices")
         canon.add(vs)
-    return Hypergraph(n, r, frozenset(canon))
+    return Hypergraph(n, r, canon)
 
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-uniform hypergraph on range(n)."""
     if r < 1 or r > n:
         raise BadRank(f"need 1 <= r <= n, got r={r}, n={n}")
-    return Hypergraph(n, r, frozenset(ssets_colex(n, r)))
+    edges = colex_unrank(np.arange(binom(n, r)), n, r)
+    edges.flags.writeable = False  # handed over, not copied
+    return Hypergraph(n, r, edges)
 
 
 @dataclass(frozen=True)
@@ -146,7 +206,8 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
         for start in range(0, count, _DRAW_BLOCK)
     ]
     edges = colex_unrank(np.concatenate(kept), model.n, model.r)
-    return Hypergraph(model.n, model.r, frozenset(zip(*edges.T.tolist())))
+    edges.flags.writeable = False  # handed over, not copied
+    return Hypergraph(model.n, model.r, edges)
 
 
 @dataclass(frozen=True)
@@ -191,10 +252,12 @@ def degree_stats(h: Hypergraph, s: int, d_ref: float | None = None) -> DegreeSta
 
 
 def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:
-    """Write the text format: header "n r m", then one sorted edge per line."""
+    """Write the text format: header "n r m", then one edge per line, the
+    edges in lexicographic order."""
+    arr = h._edge_array
     fh.write(f"{h.n} {h.r} {h.num_edges}\n")
-    for e in sorted(h.edges):
-        fh.write(" ".join(str(v) for v in e) + "\n")
+    for e in arr[np.lexsort(arr.T[::-1])].tolist():
+        fh.write(" ".join(map(str, e)) + "\n")
 
 
 def _ints(fields: list[str], where: str) -> list[int]:
@@ -218,6 +281,8 @@ def read_hypergraph(fh: IO[str]) -> Hypergraph:
         if len(line) != r:
             raise BadVertex(f"edge line {k + 1} has {len(line)} fields, expected {r}")
         edges.append(_ints(line, f"edge line {k + 1}"))
+    if any(line.strip() for line in fh):
+        raise BadParams(f"header promises {m} edges, file holds more")
     got = hypergraph(n, r, edges)
     if got.num_edges != m:
         raise BadParams(f"header promises {m} edges, file holds {got.num_edges}")

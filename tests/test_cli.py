@@ -110,6 +110,21 @@ def test_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_reuse_leaks_no_flag(capsys):
+    """main builds its parser once per process; a flag given to one call
+    does not become a default of the next."""
+    base = ["radius", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "2",
+            "--deterministic"]
+    docs = []
+    for argv in (base + ["--slack", "5"], base, base + ["--slack", "5"]):
+        assert main(argv) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[2]
+    assert json.loads(docs[0])["config"]["slack"] == 5.0
+    assert json.loads(docs[1])["config"]["slack"] == 3.0
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_csv_walk_count_row(capsys):
     main(["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "2",
           "--format", "csv", "--deterministic"])

@@ -1,7 +1,9 @@
 """Hypergraph model, random sampling, degrees, and the text format."""
 
+import hashlib
 import importlib
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -124,6 +126,73 @@ def test_edge_array_rejects_ids_past_int64():
     with pytest.raises(BadVertex):
         Hypergraph(2**64, 2, frozenset({edge}))
     assert Hypergraph(2**64, 2, frozenset({(0, 2**63 - 1)})).num_edges == 1
+
+
+# canonical (m, 3) arrays over range(5) but one fault each
+_BAD_ARRAYS = {
+    "not colex": np.array([[0, 1, 3], [0, 1, 2]]),
+    "repeated row": np.array([[0, 1, 2], [0, 1, 2]]),
+    "id out of range": np.array([[0, 1, 2], [1, 2, 5]]),
+    "negative id": np.array([[-1, 1, 2]]),
+    "decreasing row": np.array([[0, 2, 1]]),
+    "int32": np.array([[0, 1, 2]], dtype=np.int32),
+    "float": np.array([[0.0, 1.0, 2.0]]),
+    "width 2": np.array([[0, 1]]),
+    "one row, flat": np.array([0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_ARRAYS))
+def test_array_check_refuses(fault):
+    with pytest.raises(BadVertex):
+        Hypergraph(5, 3, _BAD_ARRAYS[fault])
+    # the same array made read-only, which is taken without a copy
+    arr = _BAD_ARRAYS[fault].copy()
+    arr.flags.writeable = False
+    with pytest.raises(BadVertex):
+        Hypergraph(5, 3, arr)
+
+
+def test_array_is_copied_unless_read_only():
+    arr = np.array([[0, 1, 2], [0, 1, 3]])
+    h = Hypergraph(5, 3, arr)
+    arr[0, 0] = 4  # the caller's later write does not reach h
+    assert h.edges == {(0, 1, 2), (0, 1, 3)} and arr.flags.writeable
+    assert Hypergraph(5, 3, np.zeros((0, 3), dtype=np.int64)).num_edges == 0
+
+
+def test_array_order_is_colex():
+    h = hypergraph(5, 3, [(2, 3, 4), (0, 1, 4), (0, 1, 2), (0, 2, 3)])
+    assert h._edge_array.tolist() == [[0, 1, 2], [0, 2, 3], [0, 1, 4], [2, 3, 4]]
+    assert h == Hypergraph(5, 3, h._edge_array.copy())
+    assert h != hypergraph(6, 3, h.edges) and h != hypergraph(5, 3, [(0, 1, 2)])
+
+
+_MODELS = [RandomModel(9, 3, 0.4, 0), RandomModel(10, 4, 0.1, 7),
+           RandomModel(8, 5, 0.7, 2**63 + 5), RandomModel(6, 6, 0.5, 1)]
+
+
+@pytest.mark.parametrize("m", _MODELS, ids=str)
+def test_sample_equals_its_edges_rebuilt(m):
+    h = sample(m)
+    again = hypergraph(m.n, m.r, reversed(sorted(h.edges)))
+    assert h == again and hash(h) == hash(again)
+
+
+@pytest.mark.parametrize("m", [RandomModel(7, 3, 0.5, 4), RandomModel(8, 4, 0.3, 11)],
+                         ids=str)
+def test_degree_matches_brute_force(m):
+    h = sample(m)
+    edges = h.edges
+    for s in range(1, m.r):
+        for vs in itertools.combinations(range(m.n), s):
+            assert h.degree(vs) == sum(1 for e in edges if set(vs) <= set(e))
+
+
+def test_degree_of_an_id_past_int64_is_zero():
+    h = Hypergraph(2**64, 2, frozenset({(0, 2**63 - 1)}))
+    assert h.degree((2**63 - 1,)) == 1
+    assert h.degree((2**63,)) == h.degree((2**64 - 1,)) == 0
 
 
 def test_complete_counts():
@@ -260,6 +329,23 @@ def test_read_rejects_duplicates_and_bad_counts():
         read_hypergraph(io.StringIO("5 2 2\n0 1\n"))
     with pytest.raises(BadParams):
         read_hypergraph(io.StringIO("5 2\n"))
+    # an edge line past the header's count is not silently dropped
+    with pytest.raises(BadParams, match="header promises 1 edges, file holds more"):
+        read_hypergraph(io.StringIO("5 2 1\n0 1\n3 4\n"))
+    assert read_hypergraph(io.StringIO("5 2 1\n0 1\n\n \n")).num_edges == 1
+
+
+# sha256 of write_hypergraph's output, frozen before the edges became an array
+@pytest.mark.parametrize("build, digest", [
+    (lambda: sample(RandomModel(12, 4, 0.3, 1)),
+     "b785f8460fa8429b1c4d714a5c5c69ddb2bd675382d1d5976bff472fea33e4fe"),
+    (lambda: complete(7, 3),
+     "4c3ae98433f4915b2b0573cc22956f22977edeab3ba471290fd9e75429d317c3"),
+], ids=["sample(12,4,0.3,1)", "complete(7,3)"])
+def test_written_bytes_pinned(build, digest):
+    buf = io.StringIO()
+    write_hypergraph(build(), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text", ["x 2 1\n0 1\n", "5 2 1.5\n0 1\n", "5 2 1\n0 x\n",
