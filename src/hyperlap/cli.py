@@ -443,13 +443,13 @@ _OPTIONS = {
     "--budget": {"type": int},
     "--deterministic": {"action": "store_true"},
 }
-_COMMON = ("--seed", "--trials", "--format", "--output", "--budget", "--deterministic")
+_COMMON = ("--format", "--output", "--deterministic")
 # instance source -> its flags; a trailing "?" makes a required flag optional.
 # "any": exactly one of --complete, --input and --p; "p": --p only.
 _SOURCE_FLAGS = {
     None: (),
-    "p": ("--p",),
-    "any": ("--complete", "--input", "--p?"),
+    "p": ("--p", "--seed", "--budget"),
+    "any": ("--complete", "--input", "--p?", "--seed", "--budget"),
 }
 
 
@@ -480,31 +480,31 @@ _SUBCOMMANDS = {
         ("--n", "--r", "--s", "--dump-matrix", "--tol"), "any", 1, _run_spectrum),
     "radius": _Subcommand(
         "lambda_bar of random instances vs bound",
-        ("--n", "--r", "--s", "--slack"), "p", 10, _run_radius),
+        ("--n", "--r", "--s", "--slack", "--trials"), "p", 10, _run_radius),
     "semicircle": _Subcommand(
         "scaled spectrum of W - E(W) vs the law",
-        ("--n", "--r", "--s", "--bins", "--ks-tol"), "p", 10, _run_semicircle),
+        ("--n", "--r", "--s", "--bins", "--ks-tol", "--trials"), "p", 10, _run_semicircle),
     "walk-count": _Subcommand(
         "good closed walk census with bounds",
-        ("--n", "--r", "--s", "--t"), None, 1, _run_walk_count),
+        ("--n", "--r", "--s", "--t", "--budget"), None, 1, _run_walk_count),
     "mixing": _Subcommand(
         "random-walk contraction factors vs lambda_bar",
-        ("--n", "--r", "--s", "--steps", "--tol"), "any", 1, _run_mixing),
+        ("--n", "--r", "--s", "--steps", "--tol", "--trials"), "any", 1, _run_mixing),
     "diameter": _Subcommand(
         "s-distance diameter vs the spectral bound",
-        ("--n", "--r", "--s", "--tol"), "any", 1, _run_diameter),
+        ("--n", "--r", "--s", "--tol", "--trials"), "any", 1, _run_diameter),
     "expansion": _Subcommand(
         "edge counts between random s-set families vs the bound",
-        ("--n", "--r", "--s", "--family-frac", "--tol"), "any", 1, _run_expansion),
+        ("--n", "--r", "--s", "--family-frac", "--tol", "--trials"), "any", 1, _run_expansion),
     "ekr": _Subcommand(
         "intersecting-family bound from eigenvalue counts",
         ("--n", "--s?"), None, 1, _run_ekr),
     "monotonicity": _Subcommand(
         "lambda_1 and lambda_max across stop sizes",
-        ("--n", "--r", "--tol"), "any", 1, _run_monotonicity),
+        ("--n", "--r", "--tol", "--trials"), "any", 1, _run_monotonicity),
     "diagnostics": _Subcommand(
         "degree concentration and perturbation split",
-        ("--n", "--r", "--s", "--tol"), "p", 5, _run_diagnostics),
+        ("--n", "--r", "--s", "--tol", "--trials"), "p", 5, _run_diagnostics),
 }
 
 

@@ -16,6 +16,7 @@ kernels are tested against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,6 +43,17 @@ def _work_budget(budget: int | None) -> int:
 def _check_loose(r: int, s: int) -> None:
     if s < 1 or 2 * s > r:
         raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
+
+
+def _int_at_least(x, name: str, lo: int) -> int:
+    """x as a Python int >= lo, numpy ints included, else BadParams naming it."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise BadParams(f"{name} must be an integer, got {x!r}") from None
+    if x < lo:
+        raise BadParams(f"need {name} >= {lo}, got {x}")
+    return x
 
 
 def _check_probability(p) -> None:
@@ -76,9 +88,12 @@ def catalan(k: int) -> int:
 def as_sset(vertices: Iterable[int], n: int) -> SSet:
     """Canonicalize an iterable of vertex ids into an s-set tuple.
 
-    Checks that labels are distinct integers in range(n).
+    Checks that labels are distinct integers in range(n), else BadVertex.
     """
-    vs = tuple(sorted(vertices))
+    try:
+        vs = tuple(sorted(vertices))
+    except TypeError as exc:
+        raise BadVertex(f"{vertices!r} is not a set of vertex ids: {exc}") from None
     if not vs:
         raise BadVertex("empty vertex set")
     for v in vs:
@@ -88,7 +103,7 @@ def as_sset(vertices: Iterable[int], n: int) -> SSet:
             raise BadVertex(f"vertex {v} outside range(0, {n})")
     if len(set(vs)) != len(vs):
         raise BadVertex(f"repeated vertex in {vs}")
-    return tuple(int(v) for v in vs)
+    return tuple(map(int, vs))
 
 
 def sset_rank(vertices: Iterable[int], n: int) -> int:
@@ -106,15 +121,17 @@ def sset_unrank(idx: int, n: int, s: int) -> SSet:
         raise BadRank(f"rank {idx} outside [0, {total})")
     out = []
     rem = idx
-    v = n - 1
+    hi = n - 1
     for i in range(s, 0, -1):
-        while math.comb(v, i) > rem:
-            v -= 1
-        out.append(v)
-        rem -= math.comb(v, i)
-        v -= 1
-    out.reverse()
-    return tuple(out)
+        # bisect for the largest v <= hi with C(v, i) <= rem; C(i - 1, i) = 0
+        lo = i - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.comb(mid, i) <= rem else (lo, mid - 1)
+        out.append(lo)
+        rem -= math.comb(lo, i)
+        hi = lo - 1
+    return tuple(reversed(out))
 
 
 def _comb_table(n: int, s: int) -> np.ndarray:

@@ -11,13 +11,12 @@ deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO, Iterable
 
 import numpy as np
 
-from .combin import (SSet, _to_float, _work_budget, as_sset, binom, colex_unrank,
-                     subset_ranks)
+from .combin import (SSet, _int_at_least, _to_float, _work_budget, as_sset, binom,
+                     colex_unrank, subset_ranks)
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
 
 
@@ -27,10 +26,10 @@ class Hypergraph:
 
     Hypergraph(n, r, edges) takes either the (m, r) int64 array itself, in
     the canonical order of the module docstring, or a collection of
-    r-tuples in any order, each checked as as_sset would and then
-    colex-sorted.  Both end in the same check, _check_array.  A writable
-    array is copied, so the caller's later writes cannot reach the
-    hypergraph.
+    r-tuples in any order, each accepted iff as_sset leaves it unchanged,
+    then colex-sorted.  Both end in the same check, _check_array.  A
+    writable array is copied, so the caller's later writes cannot reach
+    the hypergraph.  n and r are ints, numpy ints included.
     """
 
     n: int
@@ -38,15 +37,15 @@ class Hypergraph:
     _edge_array: np.ndarray = field(repr=False)
 
     def __init__(self, n: int, r: int, edges: np.ndarray | Iterable[SSet]):
-        if n < 0:
-            raise BadParams(f"need n >= 0, got {n}")
-        if r < 1:
-            raise BadParams(f"need r >= 1, got {r}")
+        n, r = _int_at_least(n, "n", 0), _int_at_least(r, "r", 1)
         if isinstance(edges, np.ndarray):
             arr = edges.copy() if edges.flags.writeable else edges
         else:
-            arr = _check_edges(list(edges), n, r)
-            arr = arr[np.lexsort(arr.T)]
+            rows = list(edges)
+            for e in rows:
+                if not isinstance(e, tuple) or as_sset(e, n) != e:
+                    raise BadVertex(f"edge {e!r} is not an increasing tuple of vertex ids")
+            arr = _colex_array(rows, r)
         _check_array(arr, n, r)
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -107,46 +106,27 @@ def _check_array(arr: np.ndarray, n: int, r: int) -> None:
                         f"{tuple(a[k].tolist())} in strict colex order")
 
 
-def _check_edges(rows: list, n: int, r: int) -> np.ndarray:
-    """Raise BadVertex unless every edge is a tuple of r integer vertex ids
-    in range(n); return the edges as an (m, r) int64 array in the order of
-    rows.  _check_array then checks the order within and between rows, so
-    together they accept exactly the edges as_sset leaves unchanged.
-
-    Types and lengths are checked once per distinct value, and the ids as
-    one (m, r) array.  numpy widens a mix of signed and unsigned ids to
-    float, which is not exact past 2**53, so such ids are compared as
-    Python objects instead.
-    """
-    if not all(issubclass(k, tuple) for k in set(map(type, rows))):
-        raise BadVertex("every edge must be a tuple of vertex ids")
-    if set(map(len, rows)) - {r}:
-        raise BadVertex(f"an edge does not have {r} vertices")
-    flat = list(chain.from_iterable(rows))
-    for k in set(map(type, flat)):
-        if not issubclass(k, (int, np.integer)):
-            raise BadVertex(f"vertex of {k} is not an integer")
-    arr = np.array(flat)
-    if arr.dtype.kind == "f":
-        arr = np.array(flat, dtype=object)
-    arr = arr.reshape(-1, r)
-    bad = ((arr < 0) | (arr >= n)).any(axis=1)
-    if bad.any():
-        raise BadVertex(f"edge {rows[bad.argmax()]} has a vertex outside range({n})")
-    if n > 2**63 and arr.size and arr.max() >= 2**63:
-        raise BadVertex("vertex ids past 2**63 - 1 do not fit the int64 edge array")
-    return arr.astype(np.int64, copy=False)
+def _colex_array(rows: list[SSet], r: int) -> np.ndarray:
+    """Edges that as_sset leaves unchanged, as a read-only (m, r) int64
+    array in colex order; BadVertex for an edge of another size or an id
+    past the int64 range."""
+    try:
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), r)
+    except OverflowError:
+        raise BadVertex("vertex ids past 2**63 - 1 do not fit the int64 edge array") from None
+    except ValueError:  # ragged rows, or rows of one other size
+        bad = next(e for e in rows if len(e) != r)
+        raise BadVertex(f"edge {bad} does not have {r} vertices") from None
+    arr = arr[np.lexsort(arr.T)]
+    arr.flags.writeable = False
+    return arr
 
 
 def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Build a hypergraph from an iterable of edges, canonicalizing each."""
-    canon = set()
-    for e in edges:
-        vs = as_sset(e, n)
-        if len(vs) != r:
-            raise BadVertex(f"edge {tuple(e)} does not have {r} distinct vertices")
-        canon.add(vs)
-    return Hypergraph(n, r, canon)
+    """Build a hypergraph from edges in any order, each canonicalized once by as_sset."""
+    n, r = _int_at_least(n, "n", 0), _int_at_least(r, "r", 1)
+    canon = {as_sset(e, n) for e in edges}  # a repeated edge counts once
+    return Hypergraph(n, r, _colex_array(list(canon), r))  # read-only: not copied
 
 
 def complete(n: int, r: int) -> Hypergraph:
@@ -168,11 +148,13 @@ class RandomModel:
     seed: int
 
     def __post_init__(self):
-        if self.r < 1 or self.r > self.n:
+        for name, lo in (("n", 0), ("r", 1), ("seed", 0)):
+            object.__setattr__(self, name, _int_at_least(getattr(self, name), name, lo))
+        if self.r > self.n:
             raise BadParams(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
         if not 0 < self.p < 1:
             raise BadParams(f"need 0 < p < 1, got {self.p}")
-        if self.seed < 0 or self.seed >= 2**64:
+        if self.seed >= 2**64:
             raise BadParams(f"seed must fit in 64 bits, got {self.seed}")
 
 

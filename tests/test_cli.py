@@ -562,6 +562,20 @@ def test_tol_rejected_where_unused():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--trials", "3"],
+    ["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "2", "--seed", "1"],
+    ["walk-count", "--n", "5", "--r", "2", "--s", "1", "--t", "2", "--trials", "2"],
+    ["ekr", "--n", "6", "--seed", "1"],
+    ["ekr", "--n", "6", "--trials", "2"],
+    ["ekr", "--n", "6", "--budget", "5"],
+])
+def test_unread_flags_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # the echo's keys and their order are part of the pinned report bytes
 CORE = ["subcommand", "n", "r", "s", "p", "t", "seed", "trials", "format", "budget",
         "deterministic"]

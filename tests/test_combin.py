@@ -68,6 +68,15 @@ def test_unrank_examples():
         sset_unrank(-1, 6, 3)
 
 
+def test_unrank_is_fast_for_huge_n():
+    n = 10**30
+    assert sset_unrank(10, n, 3) == (0, 1, 5)
+    top = binom(n, 3)
+    for idx in (top - 1, top - 2, top - 10**6, top - binom(n - 1, 2), top // 2):
+        assert sset_rank(sset_unrank(idx, n, 3), n) == idx
+    assert sset_unrank(top - 1, n, 3) == (n - 3, n - 2, n - 1)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_rank_unrank_roundtrip(data):

@@ -44,6 +44,34 @@ def test_builder_rejects_bad_edges():
         hypergraph(5, 3, [[0, 1, 1]])
     with pytest.raises(BadVertex):
         hypergraph(5, 3, [[0, 1]])
+    with pytest.raises(BadVertex):
+        hypergraph(5, 2, [(0, "a")])
+    with pytest.raises(BadVertex):
+        hypergraph(5, 2, [3])
+    # the message names the vertices of an edge that can be read only once
+    with pytest.raises(BadVertex, match=r"edge \(0, 1\) does not have 3 vertices"):
+        hypergraph(5, 3, [iter([1, 0])])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Hypergraph(5.5, 2, []),
+    lambda: Hypergraph(5, 2.0, []),
+    lambda: Hypergraph("5", 2, []),
+    lambda: hypergraph(5, 2.0, []),
+    lambda: RandomModel(5.0, 2, 0.5, 0),
+    lambda: RandomModel(5, 2.0, 0.5, 0),
+    lambda: RandomModel(5, 2, 0.5, 1.5),
+], ids=["n float", "r float", "n str", "builder r float", "model n float", "model r float", "seed float"])
+def test_non_integer_sizes_are_bad_params(make):
+    with pytest.raises(BadParams, match="must be an integer"):
+        make()
+
+
+def test_numpy_int_sizes_pass():
+    h = Hypergraph(np.int64(5), np.int32(2), [(0, 1)])
+    assert (h.n, h.r) == (5, 2) and type(h.n) is int
+    model = RandomModel(np.int64(6), np.uint8(3), 0.5, np.uint64(7))
+    assert sample(model) == sample(RandomModel(6, 3, 0.5, 7))
 
 
 # a vertex id recast as another type: numpy ints keep it an integer id,
