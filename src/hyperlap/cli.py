@@ -451,6 +451,9 @@ _SOURCE_FLAGS = {
     "p": ("--p", "--seed", "--budget"),
     "any": ("--complete", "--input", "--p?", "--seed", "--budget"),
 }
+# the "any" flags that an instance from --complete or --input never reads,
+# refused like an unknown flag; expansion seeds its family draws from --seed
+_UNREAD_WITH = {"--complete": ("--seed",), "--input": ("--seed", "--budget")}
 
 
 @dataclass(frozen=True)
@@ -665,7 +668,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    cfg = ExperimentConfig(**vars(_build_parser().parse_args(argv)))
+    parser = _build_parser()
+    args = vars(parser.parse_args(argv))  # only the flags given
+    for source, flags in _UNREAD_WITH.items():
+        if _dest(source) in args and "p" not in args:
+            for flag in flags:
+                if _dest(flag) in args and (flag, args["subcommand"]) != ("--seed", "expansion"):
+                    parser.error(f"argument {flag}: not read with {source}")
+    cfg = ExperimentConfig(**args)
     try:
         report = run(cfg)
         code = 0 if report.passed else 1

@@ -20,28 +20,28 @@ branch only to stops that can still close: the closing steps back to the
 first stop a0 are a0's own steps reversed, read once per root.
 
 Counting without n: census and expected_trace count the good walks by
-(distinct edges i, distinct vertices j, multiplicity profile) and use two
-exact reductions (_walk_profiles), both from the symmetry of the complete
-hypergraph under every permutation of range(n), which keeps each class.
-(a) A good t-walk has at most J = s + (t // 2)(r - s) vertices, so the
-search runs on m = min(n, J) vertices: each j-set of range(n) carries
-equally many walks, so a class with j vertices has C(n, j)/C(m, j) times
-its count on m vertices, an exact division (checked, RuntimeError).
-(b) The permutations act transitively on the steps (a, b, F), so every
-step is the first step of equally many walks of a class: the search
-counts the walks whose first step is succ[0][0] and multiplies by the
-C(m,s)*C(m-s,s)*C(m-2s,r-2s) steps.  Each integer count is scaled before
+(distinct edges i, distinct vertices j, multiplicity profile), classes
+that every permutation of range(n) keeps (_walk_profiles).  Label a
+walk's vertices in the order it meets them: the first stop gets 0..s-1,
+and each distinct edge's unmet vertices the next labels, as one block;
+the blocks have sizes g_1 = s, g_2, ....  A walk is canonical when its
+labels already follow that rule.  A walk on range(n) has prod g_k!
+labellings by range(j) that keep its blocks, and a canonical walk has
+C(n, j) j! injections of range(j) into range(n), so a class holds
+C(n, j) j!/prod g_k! walks per canonical walk: integers, summed before
 any float arithmetic, so results are the same, bit for bit, as a search
-from every stop.  First-met order is kept too.  The search is
-lexicographic in (stop rank, edge rank) pairs, and colex ranks do not
-depend on n.  A class with a walk from stop 0 has one through every step
-from stop 0, so its least walk starts with the least step succ[0][0]:
-those walks are a prefix of the search from stop 0.  Its least walk
-uses exactly the vertices range(j): were some u >= j used and v < j not,
-the transposition (u v) keeps the class and stop 0 and lowers the rank of
-every set holding u.  So the classes are first met in the same order at
-every n.  enumerate_closed_walks still yields every walk, from every stop,
-on all n vertices.
+from every stop.  A good t-walk has at most J = s + (t // 2)(r - s)
+vertices, so the search runs on m = min(n, J) of them.  First-met order
+is kept too.  The search is lexicographic in (stop rank, edge rank)
+pairs, colex ranks do not depend on n, and a class has a walk from stop
+0, where the search from every stop starts.  Its least one is canonical,
+so it lies on range(j) and passes the filter: were F its first edge
+whose unmet vertices N are not the next labels, swapping some v of N
+past them with some w of them not in N would keep the class and the
+earlier steps, inside range(u), and lower the step into F, whose edge,
+and stop if it holds v, trade v for w.  So the classes are first met in
+the same order at every n.  enumerate_closed_walks still yields every
+walk, from every stop, on all n vertices.
 
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
@@ -144,10 +144,11 @@ def _checked_tables(
 
 
 def _raw_walks(
-    succ: tuple, t: int, good_only: bool, limit: int, rooted: bool
+    succ: tuple, t: int, good_only: bool, limit: int, emask: list | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (stop ranks, edge ranks) for every closed t-walk, root by root,
-    or when rooted only those whose first step is succ[0][0].
+    or, given the edge bitmasks, only the canonical ones from stop 0: a step
+    over edge j, with range(u) labelled, needs emask[j] >> u to be 2^g - 1.
 
     Depth-first search on a stack of branch iterators, one per step taken,
     so a walk of any length t needs no recursion.  Prunes on goodness when
@@ -157,7 +158,7 @@ def _raw_walks(
     too because disjointness and containment are symmetric.  More than
     limit search states is TooLarge.
     """
-    roots = min(1, len(succ)) if rooted else len(succ)
+    roots = len(succ) if emask is None else min(1, len(succ))
     nodes = 0
     for a0 in range(roots):
         # close[b]: the steps (a0, j) from b back to a0, in j order
@@ -165,6 +166,7 @@ def _raw_walks(
         for b, j in succ[a0]:
             close.setdefault(b, []).append((a0, j))
         near: dict[int, tuple] = {}
+        used = [0]  # range(used[k]): the labels met by the first k steps
 
         def branch(a: int, st: int):
             # the steps (b, j) that step st may take from stop a
@@ -177,11 +179,12 @@ def _raw_walks(
             return near[a]
 
         stops, edges, counts, singles = [a0], [], {}, 0
-        first = branch(a0, 1)
-        its = [iter(first[:1] if rooted else first)]
+        its = [iter(branch(a0, 1))]
         while its:
             st = len(its)
             for b, j in its[-1]:
+                if emask is not None and (x := emask[j] >> used[-1]) & (x + 1):
+                    continue
                 c = counts.get(j, 0)
                 ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
                 if good_only and (ns != 0 if st == t else ns > t - st):
@@ -197,6 +200,8 @@ def _raw_walks(
                 singles = ns
                 stops.append(b)
                 edges.append(j)
+                if emask is not None:
+                    used.append(max(used[-1], emask[j].bit_length()))
                 its.append(iter(branch(b, st + 1)))
                 break
             else:
@@ -208,6 +213,8 @@ def _raw_walks(
                     if c:
                         counts[j] = c
                     singles += (c == 1) - (c == 0)
+                    if emask is not None:
+                        used.pop()
 
 
 @dataclass(frozen=True)
@@ -278,7 +285,7 @@ def enumerate_closed_walks(
     ssets = tuple(map(tuple, stops.tolist()))
     rsets = tuple(map(tuple, edges.tolist()))
     walk = ClosedWalk._trusted
-    for sidx, eidx in _raw_walks(succ, t, good_only, limit, False):
+    for sidx, eidx in _raw_walks(succ, t, good_only, limit):
         yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
 
 
@@ -286,30 +293,22 @@ def _walk_profiles(
     n: int, r: int, s: int, t: int, budget: int | None
 ) -> dict[tuple[int, int, tuple[int, ...]], int]:
     """Good closed t-walks on range(n) counted by (distinct edges, distinct
-    vertices, sorted edge multiplicities), in first-met order.
-
-    Searches only the walks on m = min(n, J) vertices whose first step is
-    succ[0][0], and scales each integer count exactly (see the module
-    docstring): by the number of steps, then by C(n, j)/C(m, j)."""
+    vertices, sorted edge multiplicities), in first-met order, from the
+    canonical walks on m = min(n, J) vertices (see the module docstring)."""
     m = min(n, s + t // 2 * (r - s))
     (_, edges, succ), limit = _checked_tables(m, r, s, t, budget)
     emask = _masks(edges).tolist()
     keys: Counter = Counter()
-    for _, e in _raw_walks(succ, t, True, limit, True):
+    for _, e in _raw_walks(succ, t, True, limit, emask):
         mult = Counter(e)
-        vs = 0
+        u, ways = s, 1
         for j in mult:
-            vs |= emask[j]
-        keys[len(mult), vs.bit_count(), tuple(sorted(mult.values()))] += 1
-    steps = sum(map(len, succ))
-    out = {}
-    for (i, j, prof), c in keys.items():
-        per_set, rem = divmod(c * steps, binom(m, j))
-        if rem:
-            raise RuntimeError(f"{c * steps} walks in cell ({i}, {j}) on {m} vertices "
-                               f"are not a multiple of C({m}, {j})")
-        out[i, j, prof] = per_set * binom(n, j)
-    return out
+            g = emask[j].bit_length() - u
+            if g > 0:
+                u += g
+                ways *= binom(u, g)
+        keys[len(mult), u, tuple(sorted(mult.values()))] += ways
+    return {(i, j, prof): c * binom(n, j) for (i, j, prof), c in keys.items()}
 
 
 @dataclass(frozen=True)

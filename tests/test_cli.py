@@ -569,11 +569,31 @@ def test_tol_rejected_where_unused():
     ["ekr", "--n", "6", "--seed", "1"],
     ["ekr", "--n", "6", "--trials", "2"],
     ["ekr", "--n", "6", "--budget", "5"],
+    # an instance from --complete or --input draws nothing, and one from
+    # --input is not built under a budget
+    ["spectrum", "--complete", "--n", "10", "--r", "4", "--s", "2", "--seed", "5"],
+    ["mixing", "--complete", "--n", "8", "--r", "4", "--s", "2", "--seed", "5"],
+    ["mixing", "--input", "K", "--n", "8", "--r", "4", "--s", "3", "--seed", "9"],
+    ["mixing", "--input", "K", "--n", "8", "--r", "4", "--s", "3", "--budget", "7"],
+    ["mixing", "--input", "K", "--n", "8", "--r", "4", "--s", "3", "--seed", "9",
+     "--budget", "7"],
+    ["expansion", "--input", "K", "--n", "8", "--r", "4", "--s", "1", "--budget", "7"],
 ])
-def test_unread_flags_are_refused(argv):
+def test_unread_flags_are_refused(argv, tmp_path):
+    # K is a readable file, so only the flag check can refuse the run
+    path = tmp_path / "k84.txt"
+    with open(path, "w") as fh:
+        write_hypergraph(complete(8, 4), fh)
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([str(path) if a == "K" else a for a in argv])
     assert exc.value.code == 2
+
+
+def test_expansion_reads_seed_with_every_source(capsys):
+    # its family draws are seeded from --seed whatever the source
+    argv = ["expansion", "--complete", "--n", "8", "--r", "4", "--s", "1", "--seed", "5"]
+    code, doc = _run(argv, capsys)
+    assert code in (0, 1) and doc["config"]["seed"] == 5
 
 
 # the echo's keys and their order are part of the pinned report bytes

@@ -179,10 +179,11 @@ def test_bad_walk_params_rejected_before_tables(entry, over_cap, binoms, monkeyp
 
 # the least budget at which census, the good-walk enumeration and the full
 # enumeration finish: the search states each visits, frozen; census visits
-# only the walks on min(n, J) vertices that start with the table's first step
+# only the canonical walks on min(n, J) vertices, labelled in the order
+# they meet them
 @pytest.mark.parametrize("point, least", [
-    ((5, 3, 1, 4), (87, 5220, 28860)),
-    ((6, 4, 2, 4), (29, 2610, 4050)),
+    ((5, 3, 1, 4), (110, 5220, 28860)),
+    ((6, 4, 2, 4), (19, 2610, 4050)),
     ((5, 2, 1, 5), (8, 360, 2460)),
 ])
 def test_budget_counts_states_pinned(point, least):
@@ -283,10 +284,10 @@ _EVERY_ROOT_TOO_SLOW = {(9, 4, 1, 4), (9, 5, 2, 4), (10, 5, 2, 4), (7, 3, 1, 6),
 
 @pytest.mark.parametrize("point", _RELABEL_GRID, ids=_point_id)
 def test_relabelled_counts_match_every_root(point):
-    """census and expected_trace, searched from one first step on min(n, J)
-    vertices, against the every-root enumeration on all n: equal counts,
-    cells in the same first-met order, and profiles summed in the same
-    order, which the float trace shows to the last bit."""
+    """census and expected_trace, searched over the canonical walks on
+    min(n, J) vertices, against the every-root enumeration on all n: equal
+    counts, cells in the same first-met order, and profiles summed in the
+    same order, which the float trace shows to the last bit."""
     if point in _EVERY_ROOT_TOO_SLOW:
         pytest.skip("every-root search past 2 million states")
     cells, profiles = _from_every_root(*point)
@@ -309,6 +310,59 @@ def test_walk_counts_at_n_1000():
     p = Fraction(1, 2)
     pairs = binom(1000, 1) * binom(999, 1) * binom(998, 1)
     assert expected_trace(1000, 3, 1, 2, p, exact=True) == pairs * p * (1 - p)
+
+
+# census cells in first-met order and the exact trace at p = 1/3, frozen
+# from an independent count: the walks from one first step, rescaled by
+# the number of steps and by C(n, j)/C(m, j)
+_LARGE_N_PINS = [
+    ((10**4, 3, 1, 6), [
+        ((1, 3), 10996700220000), ((2, 4), 2048770225487700000),
+        ((2, 5), 2097900734895005040000), ((3, 5), 32567411408370078240000),
+        ((3, 4), 1738956191389560000), ((3, 6), 80878568831777219302800000),
+        ((3, 7), 49895087463258119118036000000),
+    ], Fraction(14807704133559959632140680000, 27)),
+    ((10**4, 4, 2, 6), [
+        ((1, 4), 2498500274985000), ((2, 5), 299700104985000720000),
+        ((2, 6), 748875637331270549100000), ((3, 5), 499500174975001200000),
+        ((3, 6), 10484258922637787687400000), ((3, 7), 37421315597443589338527000000),
+        ((3, 8), 31162600563771149021658359250000),
+    ], Fraction(27733363100346691954683249590000, 81)),
+    ((10**4, 5, 2, 4), [
+        ((1, 5), 124875043743750300000), ((2, 6), 6739880735981434941900000),
+        ((2, 7), 27442298104791965514919800000), ((2, 8), 24930080451016919217326687400000),
+    ], Fraction(3697411776176260700724766600000, 3)),
+    ((10**4, 4, 1, 5), [
+        ((1, 4), 99940010999400000), ((2, 5), 15984005599200038400000),
+        ((2, 6), 42436286115438664449000000), ((2, 7), 24947543731629059559018000000),
+    ], Fraction(11106664889777754422668400000, 27)),
+    ((10**4, 2, 1, 10), [
+        ((1, 2), 99990000), ((2, 3), 29991000600000), ((3, 4), 1099340120993400000),
+        ((3, 3), 139958002800000), ((4, 5), 11988004199400028800000),
+        ((4, 4), 3847690423476900000), ((5, 6), 41937035690551150749600000),
+        ((5, 5), 23576408258820056640000), ((5, 4), 1449130159491300000),
+    ], Fraction(149257258754244518197540000, 6561)),
+    ((10**111, 3, 1, 4), [
+        ((1, 3), "064854d51f4853d35aaf718aa713e2bb4cafbba309752000db83df2b9b9446e1"),
+        ((2, 4), "29baf13a5a7d7e44d8f4149871240f71bd3d3272ecf0f9288ac0776ae1f6399d"),
+        ((2, 5), "7b3d397554db4ed42a0c974c9c52194449de07c6ad399d8e6d412ab323863bd0"),
+    ], "190b98119a49b5354b7132229b9c99ec7841a027f191e682e05c7ac8019737a8"),
+]
+
+
+def _pinned(x):
+    """x itself, or the sha256 of its decimal string past 100 characters."""
+    text = str(x)
+    return hashlib.sha256(text.encode()).hexdigest() if len(text) > 100 else x
+
+
+@pytest.mark.parametrize("point, cells, trace", _LARGE_N_PINS)
+def test_walk_counts_pinned_at_large_n(point, cells, trace):
+    """Every cell of t >= 4 at n far past J, where a count is almost all
+    scaling, in first-met order, and the exact trace."""
+    got = census(*point).counts
+    assert [(cell, _pinned(c)) for cell, c in got.items()] == cells
+    assert _pinned(expected_trace(*point, Fraction(1, 3), exact=True)) == trace
 
 
 def test_census_without_stops_is_empty():
