@@ -40,8 +40,24 @@ whose unmet vertices N are not the next labels, swapping some v of N
 past them with some w of them not in N would keep the class and the
 earlier steps, inside range(u), and lower the step into F, whose edge,
 and stop if it holds v, trade v for w.  So the classes are first met in
-the same order at every n.  enumerate_closed_walks still yields every
-walk, from every stop, on all n vertices.
+the same order at every n.
+
+One search, every stop: enumerate_closed_walks yields every walk on all
+n vertices, from every stop in turn, but searches from stop 0 only.  The
+vertex permutation pi that sends stop 0's vertices to stop a0's and the
+other vertices to the rest, both in order, maps the walks from stop 0
+one to one onto those from a0, good ones onto good ones.  So stop 0's
+walks are kept as rows of ranks, and each later stop's are those rows
+through pi's stop and edge rank maps (_relabelling), sorted by one
+lexsort into search order: the search is lexicographic in its (next
+stop, edge) steps (_replayed).  Goodness and whether a walk can still
+close survive relabelling, so every stop visits the N_0 states stop 0
+visits, and the budget still counts the states of the search from every
+stop: a stop is replayed only while the states so far plus N_0 are
+within the budget, and the stop that would cross it is searched, so the
+walks before TooLarge and its message are those of the full search.  A
+stop 0 with more than MAX_REPLAY_RANKS ranks in its walks is not kept,
+and every stop is searched.
 
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
@@ -52,7 +68,13 @@ built, and the walks are then built from those rows without
 re-validation (ClosedWalk._trusted).  That holds for the
 closing step (a, a0, j) too, though it is read off a0's step (a0, a, j):
 disjointness and containment are symmetric, so it joins disjoint stops
-inside its edge exactly when the checked step does.
+inside its edge exactly when the checked step does.  A replayed walk is
+the image under pi of a searched one, and _relabelling checks once per
+stop that pi is a permutation of range(n) and that the rank maps send
+each stop and edge to the row of its image, sorted.  A vertex bijection
+keeps disjointness and containment, so every replayed step is a walk
+step.  Both checks raise RuntimeError, not assert, so python -O keeps
+them.
 """
 
 from __future__ import annotations
@@ -74,6 +96,13 @@ from .errors import BadCode, BadParams, NotGood, TooLarge
 # at about 100-130 bytes of Python tuples per step, 2**21 steps hold
 # ~0.25 GB, and building them peaks near 0.6 GB (0.7 GB peak RSS)
 MAX_TABLE_STEPS = 2**21
+
+# ranks of stop 0's walks that enumerate_closed_walks keeps to replay at
+# the other stops: 2**21 of them hold 16 MB as the list the search fills
+# and 8 MB as the int32 array it becomes, and replaying a stop holds as
+# much again plus its sort order; past it every stop is searched
+MAX_REPLAY_RANKS = 2**21
+_REPLAY_CHUNK = 512  # replayed walks decoded to Python lists at a time
 
 
 def _masks(rows: np.ndarray) -> np.ndarray:
@@ -144,11 +173,14 @@ def _checked_tables(
 
 
 def _raw_walks(
-    succ: tuple, t: int, good_only: bool, limit: int, emask: list | None = None
+    succ: tuple, a0: int, t: int, good_only: bool, limit: int, nodes: int = 0,
+    emask: list | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (stop ranks, edge ranks) for every closed t-walk, root by root,
-    or, given the edge bitmasks, only the canonical ones from stop 0: a step
-    over edge j, with range(u) labelled, needs emask[j] >> u to be 2^g - 1.
+    """Yield (stop ranks, edge ranks) for every closed t-walk from stop a0,
+    or, given the edge bitmasks, only the canonical ones: a step over edge
+    j, with range(u) labelled, needs emask[j] >> u to be 2^g - 1.  Returns
+    the state count: nodes, the states visited before this search, plus
+    its own.
 
     Depth-first search on a stack of branch iterators, one per step taken,
     so a walk of any length t needs no recursion.  Prunes on goodness when
@@ -156,65 +188,105 @@ def _raw_walks(
     remaining steps can never become good.  The closing steps (b, a0, j)
     are the root's checked steps (a0, b, j) reversed, which are walk steps
     too because disjointness and containment are symmetric.  More than
-    limit search states is TooLarge.
+    limit states in all is TooLarge, whose message counts the a0 roots
+    before this one as finished, of every stop, or of one given emask.
     """
-    roots = len(succ) if emask is None else min(1, len(succ))
-    nodes = 0
-    for a0 in range(roots):
-        # close[b]: the steps (a0, j) from b back to a0, in j order
-        close: dict[int, list] = {}
-        for b, j in succ[a0]:
-            close.setdefault(b, []).append((a0, j))
-        near: dict[int, tuple] = {}
-        used = [0]  # range(used[k]): the labels met by the first k steps
+    # close[b]: the steps (a0, j) from b back to a0, in j order
+    close: dict[int, list] = {}
+    for b, j in succ[a0]:
+        close.setdefault(b, []).append((a0, j))
+    near: dict[int, tuple] = {}
+    used = [0]  # range(used[k]): the labels met by the first k steps
 
-        def branch(a: int, st: int):
-            # the steps (b, j) that step st may take from stop a
-            if st < t - 1:
-                return succ[a]
+    def branch(a: int, st: int):
+        # the steps (b, j) that step st may take from stop a
+        if st < t - 1:
+            return succ[a]
+        if st == t:
+            return close.get(a, ())
+        if a not in near:
+            near[a] = tuple(p for p in succ[a] if p[0] in close)
+        return near[a]
+
+    stops, edges, counts, singles = [a0], [], {}, 0
+    its = [iter(branch(a0, 1))]
+    while its:
+        st = len(its)
+        for b, j in its[-1]:
+            if emask is not None and (x := emask[j] >> used[-1]) & (x + 1):
+                continue
+            c = counts.get(j, 0)
+            ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
+            if good_only and (ns != 0 if st == t else ns > t - st):
+                continue
+            nodes += 1
+            if nodes > limit:
+                roots = len(succ) if emask is None else 1
+                raise TooLarge(f"walk enumeration visited {limit} states, its whole "
+                               f"budget, and finished {a0} of {roots} roots")
             if st == t:
-                return close.get(a, ())
-            if a not in near:
-                near[a] = tuple(p for p in succ[a] if p[0] in close)
-            return near[a]
-
-        stops, edges, counts, singles = [a0], [], {}, 0
-        its = [iter(branch(a0, 1))]
-        while its:
-            st = len(its)
-            for b, j in its[-1]:
-                if emask is not None and (x := emask[j] >> used[-1]) & (x + 1):
-                    continue
-                c = counts.get(j, 0)
-                ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
-                if good_only and (ns != 0 if st == t else ns > t - st):
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    raise TooLarge(f"walk enumeration visited {limit} states, its whole "
-                                   f"budget, and finished {a0} of {roots} roots")
-                if st == t:
-                    yield tuple(stops), tuple(edges) + (j,)
-                    continue
-                counts[j] = c + 1
-                singles = ns
-                stops.append(b)
-                edges.append(j)
+                yield tuple(stops), tuple(edges) + (j,)
+                continue
+            counts[j] = c + 1
+            singles = ns
+            stops.append(b)
+            edges.append(j)
+            if emask is not None:
+                used.append(max(used[-1], emask[j].bit_length()))
+            its.append(iter(branch(b, st + 1)))
+            break
+        else:
+            its.pop()
+            if edges:
+                stops.pop()
+                j = edges.pop()
+                c = counts.pop(j) - 1
+                if c:
+                    counts[j] = c
+                singles += (c == 1) - (c == 0)
                 if emask is not None:
-                    used.append(max(used[-1], emask[j].bit_length()))
-                its.append(iter(branch(b, st + 1)))
-                break
-            else:
-                its.pop()
-                if edges:
-                    stops.pop()
-                    j = edges.pop()
-                    c = counts.pop(j) - 1
-                    if c:
-                        counts[j] = c
-                    singles += (c == 1) - (c == 0)
-                    if emask is not None:
-                        used.pop()
+                    used.pop()
+    return nodes
+
+
+def _relabelling(stops: np.ndarray, edges: np.ndarray, a0: int, n: int) -> list[np.ndarray]:
+    """[stop map, edge map]: the colex rank of each stop and each edge
+    under the vertex permutation pi that sends stop 0's vertices to stop
+    a0's and the other vertices to the rest, both in order.  pi is checked
+    to be a permutation of range(n), and each map to name the rows of pi
+    applied to every row, sorted.  Raises RuntimeError, not assert, so that
+    python -O keeps the check."""
+    rest = np.ones(n, dtype=bool)
+    rest[stops[a0]] = False
+    pi = np.concatenate((stops[a0], np.flatnonzero(rest)))
+    if not np.array_equal(np.sort(pi), np.arange(n)):
+        raise RuntimeError(f"the relabelling to stop {a0} is not a permutation of range({n})")
+    maps = []
+    for rows in (stops, edges):
+        moved = np.sort(pi[rows], axis=1)
+        ranks = subset_ranks(moved, n, rows.shape[1])[:, 0]
+        if not np.array_equal(rows[ranks], moved):
+            raise RuntimeError(f"the rank map to stop {a0} does not name the relabelled "
+                               f"{rows.shape[1]}-sets")
+        maps.append(ranks.astype(np.intc))
+    return maps
+
+
+def _replayed(
+    walks0: np.ndarray, smap: np.ndarray, emap: np.ndarray
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Stop 0's walks, the columns of walks0 (t stop ranks over t edge
+    ranks), relabelled by the rank maps and yielded in search order: by
+    next stop, then edge, step by step, (s_2, e_1, s_3, e_2, ..., e_t).
+    Decoded a chunk at a time, so a root's walks are never all Python lists
+    at once."""
+    t = len(walks0) // 2
+    s, e = smap[walks0[:t]], emap[walks0[t:]]
+    keys = [k for i in range(1, t) for k in (s[i], e[i - 1])] + [e[t - 1]]
+    order = np.lexsort(keys[::-1])
+    for lo in range(0, len(order), _REPLAY_CHUNK):
+        rows = order[lo:lo + _REPLAY_CHUNK]
+        yield from zip(s[:, rows].T.tolist(), e[:, rows].T.tolist())
 
 
 @dataclass(frozen=True)
@@ -280,13 +352,41 @@ def enumerate_closed_walks(
     n: int, r: int, s: int, t: int, good_only: bool = False, budget: int | None = None
 ) -> Iterator[ClosedWalk]:
     """All closed s-walks of length t in the complete r-uniform hypergraph
-    on range(n), in deterministic colex-driven order."""
+    on range(n), in deterministic colex-driven order.  Searches from stop 0
+    only and replays its walks at the other stops (see the module
+    docstring)."""
     (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget)
     ssets = tuple(map(tuple, stops.tolist()))
     rsets = tuple(map(tuple, edges.tolist()))
     walk = ClosedWalk._trusted
-    for sidx, eidx in _raw_walks(succ, t, good_only, limit):
-        yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
+    kept: list[int] = []  # stop 0's walks, each as its t stop ranks then its t edge ranks
+    replay, nodes, n0 = True, 0, 0
+    for a0 in range(len(succ)):
+        if a0 and replay and nodes + n0 <= limit:
+            nodes += n0
+            rows = _replayed(walks0, *_relabelling(stops, edges, a0, n)) if walks0.size else ()
+            for sidx, eidx in rows:
+                yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
+            continue
+        # stop 0, a stop past the replay cap, or the stop that runs out of budget
+        search = _raw_walks(succ, a0, t, good_only, limit, nodes)
+        while True:
+            try:
+                sidx, eidx = next(search)
+            except StopIteration as done:
+                nodes = done.value
+                break
+            if not a0 and replay:
+                kept.extend(sidx)
+                kept.extend(eidx)
+                if len(kept) > MAX_REPLAY_RANKS:
+                    replay = False
+                    kept.clear()
+            yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
+        if not a0:
+            n0 = nodes  # every stop visits as many states as stop 0
+            walks0 = np.array(kept, dtype=np.intc).reshape(-1, 2 * t).T
+            kept.clear()
 
 
 def _walk_profiles(
@@ -299,7 +399,7 @@ def _walk_profiles(
     (_, edges, succ), limit = _checked_tables(m, r, s, t, budget)
     emask = _masks(edges).tolist()
     keys: Counter = Counter()
-    for _, e in _raw_walks(succ, t, True, limit, emask):
+    for _, e in _raw_walks(succ, 0, t, True, limit, emask=emask) if succ else ():
         mult = Counter(e)
         u, ways = s, 1
         for j in mult:
@@ -397,8 +497,10 @@ def tree_walk_count(n: int, r: int, s: int, k: int) -> int:
         return 0
     num = binom(n, m) * math.factorial(m) * catalan(k)
     den = math.factorial(s) ** (k + 1) * math.factorial(r - 2 * s) ** k
-    assert num % den == 0
-    return num // den
+    count, rem = divmod(num, den)
+    if rem:  # RuntimeError, not assert, so that python -O keeps the check
+        raise RuntimeError(f"tree walk count: {num} is not a multiple of {den}")
+    return count
 
 
 def census_upper_bound(n: int, r: int, s: int, t: int, i: int, j: int) -> float:

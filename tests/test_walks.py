@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,29 @@ def test_budget_guard():
     # each root of (5,2,1,2) takes 4 first steps and 4 closing ones
     with pytest.raises(TooLarge, match="visited 17 states.* finished 2 of 5 roots"):
         list(enumerate_closed_walks(5, 2, 1, 2, budget=17))
+
+
+# what a lazy consumer receives before TooLarge: the number of walks, the
+# sha256 of their reprs and the message, frozen from the search from every stop
+@pytest.mark.parametrize("point, kwargs, count, digest, message", [
+    ((5, 2, 1, 2), {"budget": 17}, 8,
+     "34d687a9a030754550bd670ebce4c83e2f7968af4f7b876985039483f2f1563d",
+     "walk enumeration visited 17 states, its whole budget, and finished 2 of 5 roots"),
+    ((7, 3, 1, 6), {"budget": 50}, 38,
+     "a24b38ab551ba11676d817af668371ff200a79ee7859a700f2c20d6f700c18c2",
+     "walk enumeration visited 50 states, its whole budget, and finished 0 of 7 roots"),
+    ((5, 3, 1, 4), {"good_only": True, "budget": 5219}, 1739,
+     "37cc6fa06c95e4c740812b6790264f14adb55c8aa8ec59f1ca30ad746e1ac130",
+     "walk enumeration visited 5219 states, its whole budget, and finished 4 of 5 roots"),
+])
+def test_walks_before_the_budget_error_pinned(point, kwargs, count, digest, message):
+    h = hashlib.sha256()
+    k = 0
+    with pytest.raises(TooLarge) as err:
+        for w in enumerate_closed_walks(*point, **kwargs):
+            h.update(repr((w.stops, w.edges)).encode())
+            k += 1
+    assert (k, h.hexdigest(), str(err.value)) == (count, digest, message)
 
 
 # each entry with a point whose table is over the cap: enumerate_closed_walks
@@ -456,6 +480,14 @@ def test_tree_walk_count_matches_census_cell():
         )
 
 
+def test_tree_walk_count_refuses_an_inexact_division(monkeypatch):
+    # the count is C(n, m) m!/(s!^(k+1) (r-2s)!^k) times Catalan(k), an
+    # integer for every integer Catalan number, so only a fraction breaks it
+    monkeypatch.setattr(walks, "catalan", lambda k: Fraction(1, 7))
+    with pytest.raises(RuntimeError, match="360/7 is not a multiple of 4"):
+        tree_walk_count(6, 4, 2, 1)
+
+
 def test_census_upper_bound_pinned():
     # i=2, j=3 at (6,2,1,4): the bound evaluates to 432 exactly
     assert census_upper_bound(6, 2, 1, 4, 2, 3) == pytest.approx(432.0)
@@ -582,6 +614,72 @@ def test_enumeration_order_digest_pinned(point, good_only, count, digest):
         h.update(repr((w.stops, w.edges)).encode())
         k += 1
     assert (k, h.hexdigest()) == (count, digest)
+
+
+# walk_sweep's grid, r in {2, 3}, n <= 7, t <= 5, and (10, 4, 2, 4), plus
+# two more s = 2 points
+_REPLAY_GRID = [
+    (n, r, 1, t) for r in (2, 3) for n in range(r, 8) for t in range(1, 6)
+] + [(10, 4, 2, 4), (6, 4, 2, 4), (8, 4, 2, 3)]
+
+
+def _searched_from_every_stop(n, r, s, t, good_only):
+    """(stops, edges) of every walk, by the plain search run stop by stop."""
+    stops, edges, succ = walks._tables(n, r, s)
+    ssets = [tuple(x) for x in stops.tolist()]
+    rsets = [tuple(x) for x in edges.tolist()]
+    return [
+        (tuple(ssets[a] for a in sidx), tuple(rsets[j] for j in eidx))
+        for a0 in range(len(succ))
+        for sidx, eidx in walks._raw_walks(succ, a0, t, good_only, 10**8)
+    ]
+
+
+@pytest.mark.parametrize("point", _REPLAY_GRID, ids=_point_id)
+def test_replayed_walks_match_the_search_from_every_stop(point):
+    """enumerate_closed_walks searches stop 0 and relabels its walks to
+    reach the other stops: the same walks, in the same order."""
+    n, _, _, t = point
+    for good_only in (True, False) if n + t <= 9 else (True,):
+        got = [(w.stops, w.edges) for w in enumerate_closed_walks(*point, good_only=good_only)]
+        assert got == _searched_from_every_stop(*point, good_only)
+
+
+def test_stop_0_past_the_replay_cap_is_searched_at_every_stop(monkeypatch):
+    # stop 0 of (5, 3, 1, 4) has 1740/5 good walks of 8 ranks each, so a cap
+    # of 2400 ranks is crossed partway through it
+    want = _searched_from_every_stop(5, 3, 1, 4, True)
+    for cap in (0, 8 * 300):
+        monkeypatch.setattr(walks, "MAX_REPLAY_RANKS", cap)
+        got = [(w.stops, w.edges) for w in enumerate_closed_walks(5, 3, 1, 4, good_only=True)]
+        assert got == want
+        with pytest.raises(TooLarge, match="visited 5219 states.* finished 4 of 5 roots"):
+            list(enumerate_closed_walks(5, 3, 1, 4, good_only=True, budget=5219))
+
+
+@pytest.mark.parametrize("size", [2, 4], ids=["stops", "edges"])
+def test_relabelling_rejects_a_corrupt_rank_map(size, monkeypatch):
+    """A stop or edge rank map that does not name the relabelled rows is a
+    RuntimeError, in enumerate_closed_walks too; so is a stop whose
+    relabelling is not a permutation."""
+    stops, edges, _ = walks._tables(6, 4, 2)
+    walks._relabelling(stops, edges, 5, 6)
+    ranks = walks.subset_ranks
+
+    def rolled(rows, n, k):  # the table's own (edges, n, s) call is left alone
+        out = ranks(rows, n, k)
+        return np.roll(out, 1, axis=0) if rows.shape[1] == k == size else out
+
+    monkeypatch.setattr(walks, "subset_ranks", rolled)
+    match = f"rank map to stop 5 does not name the relabelled {size}-sets"
+    with pytest.raises(RuntimeError, match=match):
+        walks._relabelling(stops, edges, 5, 6)
+    with pytest.raises(RuntimeError, match="rank map to stop 1 does not name"):
+        list(enumerate_closed_walks(6, 4, 2, 4, good_only=True))
+    monkeypatch.undo()
+    stops[5] = (1, 1)
+    with pytest.raises(RuntimeError, match=r"stop 5 is not a permutation of range\(6\)"):
+        walks._relabelling(stops, edges, 5, 6)
 
 
 def _self_step(stops, edges, succ):
