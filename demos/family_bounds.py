@@ -58,7 +58,8 @@ print(f"lambda_1 nonincreasing: {mono.lambda1_nonincreasing},"
       f" lambda_max nondecreasing: {mono.lambda_max_nondecreasing}")
 
 # where the deviation from the complete reference actually lives
-pert = perturbation_diagnostics(sample(RandomModel(20, 3, 0.5, 3)), 1, 0.5)
+g = build_aux(sample(RandomModel(20, 3, 0.5, 3)), 1)
+pert = perturbation_diagnostics(g, 0.5)
 print("\nfour-part split of the scaled weight deviation (spectral norms):")
 for name, val in pert.norms.items():
     print(f"  {name}: {val:.5f}")

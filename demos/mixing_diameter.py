@@ -52,4 +52,4 @@ print(f"\nmax |q - pi| after 5 steps from a point mass: "
 
 d = s_diameter(g)
 print(f"\nhop diameter of the s-set graph: {d}")
-print(f"spectral diameter bound: {diameter_bound(spec, h, s)}")
+print(f"spectral diameter bound: {diameter_bound(spec, g)}")

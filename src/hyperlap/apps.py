@@ -72,21 +72,23 @@ def s_diameter(g: AuxGraph) -> int:
     return diam
 
 
-def diameter_bound(spec: Spectrum, h: Hypergraph, s: int) -> int:
-    """Spectral upper bound on the s-diameter.
-
-    ceil(log(|E| C(r,s) / delta) / log((l_max + l_1)/(l_max - l_1))) with
-    delta the minimum s-set degree.  Returns 1 outright when the spectral
-    gap at the top closes (l_max = l_1 forces a complete auxiliary graph).
+def diameter_bound(spec: Spectrum, g: AuxGraph) -> int:
+    """Spectral upper bound on the s-diameter of the auxiliary graph g:
+    ceil(log(sum_S d_S / delta) / log((l_max + l_1)/(l_max - l_1))), with
+    delta the least s-set degree d_S; sum_S d_S = |E| C(r,s), as each edge
+    holds C(r,s) s-sets.  Returns 1 outright when the top spectral gap
+    closes (l_max = l_1 forces a complete auxiliary graph).
     """
-    delta = degree_stats(h, s).min
+    if g.dim == 0:
+        raise EmptySample(f"no {g.s}-sets on {g.n} vertices")
+    delta = int(g.stop_degrees.min())
     if delta == 0:
         raise Disconnected("a zero-degree s-set makes the s-diameter infinite")
     if spec.trivial_count != 1:
         raise Disconnected("spectrum does not look connected (extra zeros)")
     lam1 = spec.lambda1
     lmax = spec.lambda_max
-    num = math.log(h.num_edges * binom(h.r, s) / delta)
+    num = math.log(int(g.stop_degrees.sum()) / delta)
     if lmax - lam1 <= 1e-12:
         return 1
     return math.ceil(num / math.log((lmax + lam1) / (lmax - lam1)))
@@ -99,7 +101,6 @@ class TransitionSystem:
 
     matrix: np.ndarray = field(repr=False)
     stationary: np.ndarray = field(repr=False)
-    kept: np.ndarray = field(repr=False)
 
 
 def transition_system(g: AuxGraph) -> TransitionSystem:
@@ -110,7 +111,7 @@ def transition_system(g: AuxGraph) -> TransitionSystem:
         raise EmptySample("no positive-degree stops")
     w = g.weights[np.ix_(kept, kept)].astype(np.float64)
     deg = g.degrees[kept].astype(np.float64)
-    return TransitionSystem(w / deg[:, None], deg / deg.sum(), kept)
+    return TransitionSystem(w / deg[:, None], deg / deg.sum())
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,9 @@ class PerturbationReport:
     ratios: dict[str, float]
 
 
-def perturbation_diagnostics(h: Hypergraph, s: int, p: float) -> PerturbationReport:
-    """Split the deviation of the s-th Laplacian from the complete
-    reference into centered, scaled, expectation, and flat parts.
+def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
+    """Split the deviation of the Laplacian of the auxiliary graph g from
+    the complete reference into centered, scaled, expectation and flat parts.
 
     M = D^{-1/2} W D^{-1/2} / C(r-s,s) - K / C(n-s,s) against the pieces
     M1 (recentring of the degree scaling), M2 (centered weights at expected
@@ -297,10 +298,9 @@ def perturbation_diagnostics(h: Hypergraph, s: int, p: float) -> PerturbationRep
     """
     if not 0 < p < 1:
         raise BadParams(f"need 0 < p < 1, got {p}")
-    g = build_aux(h, s)
     if (g.stop_degrees == 0).any():
         raise ZeroDegree("every s-set needs positive degree")
-    n, r = h.n, h.r
+    n, r, s = g.n, g.r, g.s
     cap_n = g.dim
     d = expected_stop_degree(n, r, s, p)
     kn = kneser_adjacency(n, s).astype(np.float64)

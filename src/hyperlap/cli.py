@@ -46,10 +46,10 @@ import numpy as np
 from .combin import _check_loose, _to_float, _work_budget, binom, colex_unrank
 from .errors import BadParams, DegenerateKneser, HyperlapError, TooLarge
 from .hypergraph import (
+    DegreeStats,
     Hypergraph,
     RandomModel,
     complete,
-    degree_stats,
     expected_stop_degree,
     read_hypergraph,
     sample,
@@ -75,8 +75,8 @@ from .walks import census, census_upper_bound
 from . import apps
 
 
-# one record per histogram bin, so the bin count bounds the report's size
-MAX_BINS = 10**4
+# a report holds one record per --bins bin and one factor per --steps step
+MAX_SERIES = 10**4
 
 # output is an execution mechanic, not part of the experiment: the echo
 # omits it so runs that differ only there compare byte-identical
@@ -320,7 +320,7 @@ def _run_diameter(cfg: ExperimentConfig):
         g = build_aux(h, cfg.s)
         spec = eigenvalues_sym(normalized_laplacian(g).matrix)
         diam = apps.s_diameter(g)
-        bnd = apps.diameter_bound(spec, h, cfg.s)
+        bnd = apps.diameter_bound(spec, g)
         return {"diameter": diam, "bound": bnd, "within": bool(diam <= bnd)}
 
     records, good, within = _trials(cfg, one, lambda rec: rec["within"])
@@ -386,10 +386,11 @@ def _run_diagnostics(cfg: ExperimentConfig):
                        "the float range")
 
     def one(k: int, h: Hypergraph) -> dict:
-        stats = degree_stats(h, cfg.s, d_ref=d)
+        g = build_aux(h, cfg.s)
+        stats = DegreeStats(cfg.s, g.stop_degrees, d)
         degs = stats.degrees
         outside = int(((degs <= d - window) | (degs >= d + window)).sum())
-        pert = apps.perturbation_diagnostics(h, cfg.s, cfg.p)
+        pert = apps.perturbation_diagnostics(g, cfg.p)
         return {
             "degree_min": int(stats.min),
             "degree_max": int(stats.max),
@@ -543,10 +544,9 @@ def _check_params(cfg: ExperimentConfig) -> None:
         raise BadParams(f"need 0 < p < 1, got {cfg.p}")
     if cfg.trials < 1:
         raise BadParams(f"need trials >= 1, got {cfg.trials}")
-    if not 1 <= cfg.bins <= MAX_BINS:
-        raise BadParams(f"need 1 <= bins <= {MAX_BINS}, got {cfg.bins}")
-    if cfg.steps < 1:
-        raise BadParams(f"need steps >= 1, got {cfg.steps}")
+    for name in ("bins", "steps"):
+        if not 1 <= getattr(cfg, name) <= MAX_SERIES:
+            raise BadParams(f"need 1 <= {name} <= {MAX_SERIES}, got {getattr(cfg, name)}")
     if not 0 < cfg.family_frac <= 1:
         raise BadParams(f"need 0 < family_frac <= 1, got {cfg.family_frac}")
     for name in ("tol", "slack", "ks_tol"):

@@ -225,7 +225,7 @@ def test_09_mixing_and_diameter():
         lam = spectral_radius(spec)
         if not mixing_contraction(transition_system(g), lam, steps=3).holds:
             mix_bad += 1
-        if idx >= len(fixtures) and s_diameter(g) > diameter_bound(spec, h, ss):
+        if idx >= len(fixtures) and s_diameter(g) > diameter_bound(spec, g):
             diam_bad += 1
     _line(9, mix_bad == 0 and diam_bad == 0,
           f"contraction factor above radius+1e-09 on {mix_bad}/22 fixtures; "

@@ -1,6 +1,7 @@
 """Spectral applications: mixing, diameter, expansion, intersecting families."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hyperlap import (
     BadParams,
     Disconnected,
     EmptyFamily,
+    EmptySample,
     RandomModel,
     binom,
     build_aux,
     complete,
+    degree_stats,
     diameter_bound,
     edge_expansion,
     eigenvalues_sym,
@@ -154,14 +157,14 @@ def test_mixing_custom_start():
 def test_diameter_bound_complete():
     h = complete(10, 4)
     spec = _spec_of(h, 2)
-    assert diameter_bound(spec, h, 2) == 2
+    assert diameter_bound(spec, build_aux(h, 2)) == 2
     assert s_diameter(build_aux(h, 2)) <= 2
 
 
 def test_diameter_bound_degenerate_two_point_spectrum():
     # complete graph: the only nontrivial eigenvalue is n/(n-1), bound is 1
     h = complete(7, 2)
-    assert diameter_bound(_spec_of(h, 1), h, 1) == 1
+    assert diameter_bound(_spec_of(h, 1), build_aux(h, 1)) == 1
 
 
 def test_diameter_bound_random():
@@ -173,13 +176,24 @@ def test_diameter_bound_random():
             continue
         hits += 1
         spec = eigenvalues_sym(normalized_laplacian(g).matrix)
-        assert s_diameter(g) <= diameter_bound(spec, h, 1)
+        bound = diameter_bound(spec, g)
+        assert s_diameter(g) <= bound
+        # the same bound with |E| C(r,s) and the least s-set degree read off h
+        num = math.log(h.num_edges * binom(3, 1) / degree_stats(h, 1).min)
+        lam1, lmax = spec.lambda1, spec.lambda_max
+        assert bound == math.ceil(num / math.log((lmax + lam1) / (lmax - lam1)))
     assert hits >= 8  # p=0.5 at n=12 is far above the connectivity threshold
 
 
 def test_diameter_bound_disconnected():
     with pytest.raises(Disconnected):
-        diameter_bound(_spec_of(SPLIT, 1), SPLIT, 1)
+        diameter_bound(_spec_of(SPLIT, 1), build_aux(SPLIT, 1))
+
+
+def test_diameter_bound_without_ssets():
+    h = hypergraph(0, 2, [])
+    with pytest.raises(EmptySample):
+        diameter_bound(_spec_of(h, 1), build_aux(h, 1))
 
 
 def test_expansion_pinned_singletons():
@@ -309,7 +323,7 @@ def test_monotonicity_disconnected():
 
 
 def test_perturbation_identity_and_triangle():
-    rep = perturbation_diagnostics(complete(10, 4), 2, 0.5)
+    rep = perturbation_diagnostics(build_aux(complete(10, 4), 2), 0.5)
     assert set(rep.norms) == {"m", "m1", "m2", "m3", "m4"}
     assert rep.identity_residual < 1e-12
     assert rep.triangle_holds
@@ -319,7 +333,7 @@ def test_perturbation_identity_and_triangle():
 def test_perturbation_random():
     for seed in range(3):
         h = sample(RandomModel(12, 3, 0.5, seed))
-        rep = perturbation_diagnostics(h, 1, 0.5)
+        rep = perturbation_diagnostics(build_aux(h, 1), 0.5)
         assert rep.identity_residual < 1e-9
         assert rep.triangle_holds
         assert all(v >= 0 for v in rep.ratios.values())
@@ -362,7 +376,7 @@ _PERTURBATION_BITS = {
 @pytest.mark.parametrize("n, r, s, p", sorted(_PERTURBATION_BITS))
 def test_perturbation_float_bits_pinned(n, r, s, p):
     norms, resid, ratios = _PERTURBATION_BITS[n, r, s, p]
-    rep = perturbation_diagnostics(sample(RandomModel(n, r, p, 0)), s, p)
+    rep = perturbation_diagnostics(build_aux(sample(RandomModel(n, r, p, 0)), s), p)
     assert rep.identity_residual == resid
     assert rep.norms == pytest.approx(norms, rel=1e-12, abs=0)
     assert rep.ratios == pytest.approx(ratios, rel=1e-12, abs=0)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +251,8 @@ def _run(argv, capsys):
     ["radius", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--slack", "-1"],
     ["expansion", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--family-frac",
      "nan"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--steps", "10001"],
+    ["mixing", "--n", "8", "--r", "3", "--s", "1", "--p", "0.5", "--steps", str(10**15)],
 ])
 def test_bad_value_is_a_bad_params_document(argv, capsys):
     code, doc = _run(argv, capsys)
@@ -392,6 +395,9 @@ def test_complete_checks_dense_cap_before_building(monkeypatch, capsys):
     # C(100000, 3000) has about 5,850 digits, too many to write out as a str
     (["radius", "--n", "100000", "--r", "6000", "--s", "3000", "--p", "0.5"],
      "TooLarge", "C(100000, 3000) s-sets exceed the dense budget of 2048"),
+    # one factor per step: numpy could not allocate them, so the gate refuses first
+    (["mixing", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5", "--steps", str(10**15)],
+     "BadParams", f"need 1 <= steps <= 10000, got {10**15}"),
 ])
 def test_setup_gate_refuses_before_any_instance(argv, error, message, monkeypatch,
                                                 capsys):
@@ -411,6 +417,30 @@ def test_setup_gate_refuses_before_any_instance(argv, error, message, monkeypatc
     with pytest.raises(getattr(errors, error)) as exc:
         run(cfg)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["diameter", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["diagnostics", "--n", "30", "--r", "3", "--s", "1", "--p", "0.5"],
+])
+def test_one_subset_ranks_pass_per_trial(argv, monkeypatch, capsys):
+    """The apps read the auxiliary graph the trial built, so the trial
+    ranks its edges' s-sets once, not again for the s-set degrees."""
+    rank = sys.modules["hyperlap.combin"].subset_ranks
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+
+    # every binding, including those of modules that the package shadows
+    # with a function of the same name, such as hyperlap.hypergraph
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hyperlap" and getattr(mod, "subset_ranks", None) is rank:
+            monkeypatch.setattr(mod, "subset_ranks", counted)
+    _, doc = _run(argv + ["--trials", "5", "--seed", "0"], capsys)
+    assert len(doc["records"]) == 5 and "error" not in doc["summary"], doc
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("data", [None, b"x 2 1\n0 1\n", b"5 2 1\n0 1.5\n",
