@@ -65,7 +65,11 @@ enumerate_closed_walks yields are checked once per table instead: every
 step of every walk is a step of the table, so _check_tables verifies each
 row of its stop and edge arrays and each step once, as the table is
 built, and the walks are then built from those rows without
-re-validation (ClosedWalk._trusted).  That holds for the
+re-validation (ClosedWalk._trusted).  The rows are turned once per call
+into tuples of plain ints, which two object arrays hold, and a walk's
+stops and edges are those same tuples: the searched walks look them up
+by rank, and the replayed ones are decoded a chunk at a time by indexing
+the object arrays with the rank rows.  The table check covers the
 closing step (a, a0, j) too, though it is read off a0's step (a0, a, j):
 disjointness and containment are symmetric, so it joins disjoint stops
 inside its edge exactly when the checked step does.  A replayed walk is
@@ -83,7 +87,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -102,7 +106,7 @@ MAX_TABLE_STEPS = 2**21
 # and 8 MB as the int32 array it becomes, and replaying a stop holds as
 # much again plus its sort order; past it every stop is searched
 MAX_REPLAY_RANKS = 2**21
-_REPLAY_CHUNK = 512  # replayed walks decoded to Python lists at a time
+_REPLAY_CHUNK = 512  # replayed walks decoded through the object arrays at a time
 
 
 def _masks(rows: np.ndarray) -> np.ndarray:
@@ -273,20 +277,21 @@ def _relabelling(stops: np.ndarray, edges: np.ndarray, a0: int, n: int) -> list[
 
 
 def _replayed(
-    walks0: np.ndarray, smap: np.ndarray, emap: np.ndarray
-) -> Iterator[tuple[list[int], list[int]]]:
+    walks0: np.ndarray, smap: np.ndarray, emap: np.ndarray, sobj: np.ndarray, eobj: np.ndarray
+) -> Iterator[tuple[tuple[SSet, ...], tuple[SSet, ...]]]:
     """Stop 0's walks, the columns of walks0 (t stop ranks over t edge
     ranks), relabelled by the rank maps and yielded in search order: by
     next stop, then edge, step by step, (s_2, e_1, s_3, e_2, ..., e_t).
-    Decoded a chunk at a time, so a root's walks are never all Python lists
-    at once."""
+    Each walk is yielded as its (stops, edges) tuples, decoded a chunk at
+    a time by indexing sobj and eobj, the object arrays of the stop and
+    edge tuples, so a root's walks are never all built at once."""
     t = len(walks0) // 2
     s, e = smap[walks0[:t]], emap[walks0[t:]]
     keys = [k for i in range(1, t) for k in (s[i], e[i - 1])] + [e[t - 1]]
     order = np.lexsort(keys[::-1])
     for lo in range(0, len(order), _REPLAY_CHUNK):
         rows = order[lo:lo + _REPLAY_CHUNK]
-        yield from zip(s[:, rows].T.tolist(), e[:, rows].T.tolist())
+        yield from zip(zip(*sobj[s[:, rows]].tolist()), zip(*eobj[e[:, rows]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -294,18 +299,27 @@ class ClosedWalk:
     """A closed s-walk: stops S_1..S_t and linking edges F_1..F_t.
 
     F_i links S_i to S_{i+1}, with F_t closing back to S_1.  Stops and
-    edges are canonical sorted vertex tuples.  The constructor checks the
-    walk axioms on every call; the walks of enumerate_closed_walks skip it,
-    because their rows and steps were checked once per table (_check_tables).
+    edges are tuples, and each stop and edge a sorted tuple of non-negative
+    integer vertex ids (int or np.integer), so that a walk and its edges
+    hash.  The constructor checks the walk axioms on every call, raising
+    BadParams; the walks of enumerate_closed_walks skip it, because their
+    rows and steps were checked once per table (_check_tables), and their
+    vertices are plain ints.
     """
 
     stops: tuple[SSet, ...]
     edges: tuple[SSet, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.stops, tuple) and isinstance(self.edges, tuple)):
+            raise BadParams("stops and edges must be tuples")
         t = len(self.stops)
         if t < 1 or t != len(self.edges):
             raise BadParams("need equally many stops and edges, at least one each")
+        for v in self.stops + self.edges:
+            if not (isinstance(v, tuple) and all(isinstance(x, (int, np.integer)) and x >= 0
+                                                 for x in v)):
+                raise BadParams(f"{v!r} is not a tuple of non-negative integer vertex ids")
         s = len(self.stops[0])
         r = len(self.edges[0])
         _check_loose(r, s)
@@ -358,15 +372,17 @@ def enumerate_closed_walks(
     (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget)
     ssets = tuple(map(tuple, stops.tolist()))
     rsets = tuple(map(tuple, edges.tolist()))
+    sobj = np.fromiter(ssets, dtype=object, count=len(ssets))
+    eobj = np.fromiter(rsets, dtype=object, count=len(rsets))
     walk = ClosedWalk._trusted
     kept: list[int] = []  # stop 0's walks, each as its t stop ranks then its t edge ranks
     replay, nodes, n0 = True, 0, 0
     for a0 in range(len(succ)):
         if a0 and replay and nodes + n0 <= limit:
             nodes += n0
-            rows = _replayed(walks0, *_relabelling(stops, edges, a0, n)) if walks0.size else ()
-            for sidx, eidx in rows:
-                yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
+            if walks0.size:
+                maps = _relabelling(stops, edges, a0, n)
+                yield from starmap(walk, _replayed(walks0, *maps, sobj, eobj))
             continue
         # stop 0, a stop past the replay cap, or the stop that runs out of budget
         search = _raw_walks(succ, a0, t, good_only, limit, nodes)
@@ -554,8 +570,10 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
     Computed as counts: the degrees sum to i * C(r, s), so the sum of
     (d_S - 1) is that minus the number of distinct s-subsets.
     """
-    mult = Counter(w.edges)  # distinct edges in first-occurrence order
-    if min(mult.values()) < 2:
+    mult: dict[SSet, int] = {}  # distinct edges in first-occurrence order
+    for f in w.edges:
+        mult[f] = mult.get(f, 0) + 1
+    if 1 in mult.values():
         raise NotGood("walk has a single-occurrence edge")
     s = len(w.stops[0])
     r = len(w.edges[0])
@@ -567,11 +585,13 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
         forward += len(seen.intersection(f)) == s
         seen.update(f)
         subsets.update(combinations(f, s))
-    lhs = i * binom(r, s) - len(subsets) - forward
+    # a ClosedWalk has r >= 2s >= 2, so math.comb needs no range check
+    lhs = i * math.comb(r, s) - len(subsets) - forward
     j = len(seen)
-    m = s + i * (r - s)
-    rhs = (1 + 2 * binom(r, s - 1) / s) * (m - j)
-    holds = s * lhs <= (s + 2 * binom(r, s - 1)) * (m - j)
+    gap = s + i * (r - s) - j
+    c = 2 * math.comb(r, s - 1)
+    rhs = (1 + c / s) * gap
+    holds = s * lhs <= (s + c) * gap
     return StopDegreeReport(lhs, rhs, holds, i, j)
 
 

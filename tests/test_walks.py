@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -49,6 +50,30 @@ def test_walk_validation():
         ClosedWalk(((0,), (2,)), ((0, 1), (0, 2)))
     with pytest.raises(BadParams):
         ClosedWalk(((0,), (1,)), ((0, 1),))
+
+
+@pytest.mark.parametrize("stops, edges", [
+    (([0], [1]), ((0, 1, 2), (0, 1, 2))),
+    (((0,), (1,)), ([0, 1, 2], [0, 1, 2])),
+    ([(0,), (1,)], ((0, 1, 2), (0, 1, 2))),
+    (((0,), (1,)), [(0, 1, 2), (0, 1, 2)]),
+    (((0.0,), (1.0,)), ((0, 1, 2), (0, 1, 2))),
+    (((0,), (1,)), ((0, 1, 2.0), (0, 1, 2.0))),
+    (((-1,), (1,)), ((-1, 1, 2), (-1, 1, 2))),
+    ((("0",), ("1",)), (("0", "1", "2"), ("0", "1", "2"))),
+], ids=["list-stops", "list-edges", "stops-list", "edges-list", "float-stops",
+        "float-edge", "negative", "str"])
+def test_walk_constructor_rejects_lists_and_bad_vertices(stops, edges):
+    """Stops and edges are tuples of tuples of non-negative integers, else
+    the walk would not hash; BadParams, not assert, so python -O keeps it."""
+    with pytest.raises(BadParams):
+        ClosedWalk(stops, edges)
+
+
+def test_walk_constructor_takes_numpy_integers():
+    w = ClosedWalk(((np.int64(0),), (1,)), ((0, np.intc(1), 2), (0, 1, 2)))
+    assert w == ClosedWalk(((0,), (1,)), ((0, 1, 2), (0, 1, 2)))
+    assert stop_degree_check(w).holds and code_from_walk(w).symbols == "()"
 
 
 def test_walk_helpers():
@@ -645,6 +670,34 @@ def test_replayed_walks_match_the_search_from_every_stop(point):
         assert got == _searched_from_every_stop(*point, good_only)
 
 
+@pytest.mark.parametrize("point", [(5, 3, 1, 4), (6, 4, 2, 4), (4, 2, 1, 4)], ids=_point_id)
+def test_enumerated_walks_are_tuples_of_ints(point):
+    """Searched (stop 0) and replayed walks alike hold tuples of plain ints,
+    never lists or numpy scalars, and hash as the walk the constructor
+    builds from them."""
+    for good_only in (True, False):
+        first = set()
+        for w in enumerate_closed_walks(*point, good_only=good_only):
+            first.add(w.stops[0])
+            assert type(w.stops) is tuple and type(w.edges) is tuple
+            for v in w.stops + w.edges:
+                assert type(v) is tuple
+                assert all(type(x) is int for x in v)
+            assert hash(w) == hash(ClosedWalk(w.stops, w.edges))
+        assert len(first) == binom(point[0], point[2])  # stop 0 and every replayed stop
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_replay_chunk_boundaries_keep_the_walks(chunk, monkeypatch):
+    points = [(5, 3, 1, 4), (6, 4, 2, 4), (7, 3, 1, 5)]
+    want = [[(w.stops, w.edges) for w in enumerate_closed_walks(*p, good_only=True)]
+            for p in points]
+    monkeypatch.setattr(walks, "_REPLAY_CHUNK", chunk)
+    got = [[(w.stops, w.edges) for w in enumerate_closed_walks(*p, good_only=True)]
+           for p in points]
+    assert got == want
+
+
 def test_stop_0_past_the_replay_cap_is_searched_at_every_stop(monkeypatch):
     # stop 0 of (5, 3, 1, 4) has 1740/5 good walks of 8 ranks each, so a cap
     # of 2400 ranks is crossed partway through it
@@ -766,6 +819,91 @@ def test_stop_degree_check_matches_oracle_by_hand():
         _same_report(w)
     assert max(triple.edge_multiplicities().values()) == 3
     assert max(quad.edge_multiplicities().values()) == 4
+
+
+def _random_dyck(k, rng):
+    out, opens = [], 0
+    for pos in range(2 * k):
+        closes = pos - opens
+        if opens < k and (opens == closes or rng.random() < 0.5):
+            out.append("(")
+            opens += 1
+        else:
+            out.append(")")
+    return "".join(out)
+
+
+def _tree_walk(r, s, k, rng):
+    """A tree walk of k pairs (length 2k) from walk_from_code, on the
+    vertices range((k + 1) s + k (r - 2s)) in shuffled order."""
+    e = r - 2 * s
+    verts = list(range((k + 1) * s + k * e))
+    rng.shuffle(verts)
+    stops = [verts[i * s:(i + 1) * s] for i in range(k + 1)]
+    rest = verts[(k + 1) * s:]
+    extras = [rest[i * e:(i + 1) * e] for i in range(k)]
+    return walk_from_code(stops, extras, _random_dyck(k, rng))
+
+
+def _bounced(w, i):
+    """w with one more back-and-forth over its edge i, inserted at step i."""
+    nxt = w.stops[(i + 1) % w.length]
+    return ClosedWalk(w.stops[:i] + (w.stops[i], nxt) + w.stops[i:],
+                      w.edges[:i] + (w.edges[i],) * 2 + w.edges[i:])
+
+
+def _there_and_back(n, r, s, steps, rng):
+    """A random path of the given steps on range(n), walked out and back:
+    a good closed walk of length 2 steps whose edges share vertices."""
+    path = [tuple(range(s))]
+    hops = []
+    for _ in range(steps):
+        a = path[-1]
+        b = tuple(sorted(rng.sample([v for v in range(n) if v not in a], s)))
+        rest = [v for v in range(n) if v not in a + b]
+        hops.append(tuple(sorted(a + b + tuple(rng.sample(rest, r - 2 * s)))))
+        path.append(b)
+    return ClosedWalk(tuple(path + path[-2:0:-1]), tuple(hops + hops[::-1]))
+
+
+@pytest.mark.parametrize("r, s", [(2, 1), (3, 1), (4, 1), (4, 2), (5, 2)])
+def test_stop_degree_check_matches_oracle_on_long_walks(r, s):
+    """Past the t <= 5 grid: tree walks up to 200 pairs (t = 400), the same
+    walked twice and with bounces added ('*' multiplicities), and long
+    there-and-back walks whose edges overlap, so that rhs > 0."""
+    rng = random.Random(r * 10 + s)
+    gaps = set()
+    for k in (1, 2, 3, 10, 50, 200):
+        w = _tree_walk(r, s, k, rng)
+        assert w.length == 2 * k
+        twice = ClosedWalk(w.stops * 2, w.edges * 2)
+        bounced = _bounced(_bounced(w, 0), rng.randrange(w.length))
+        for v in (w, twice, bounced):
+            _same_report(v)
+        assert "*" in code_from_walk(twice).symbols + code_from_walk(bounced).symbols
+    for steps in (1, 5, 40, 200):
+        w = _there_and_back(2 * r + 3, r, s, steps, rng)
+        _same_report(w)
+        gaps.add(stop_degree_check(w).rhs > 0)
+    assert gaps == {False, True}
+
+
+def test_stop_degree_check_rejects_non_good_long_walk():
+    """The only single-occurrence edge is the last distinct one, 403 steps
+    in: a count that stops early, or looks only at the first edges, misses
+    it."""
+    w = _tree_walk(3, 1, 200, random.Random(7))
+    a, b, c = 401, 402, 403  # unused by the tree walk on range(401)
+    first = w.stops[0][0]
+    tail = ClosedWalk(w.stops + ((first,), (a,), (b,)),
+                      w.edges + (tuple(sorted((first, a, b))),) * 2
+                      + (tuple(sorted((first, b, c))),))
+    mult = tail.edge_multiplicities()
+    assert list(mult.values()).count(1) == 1 and mult[tail.distinct_edges()[-1]] == 1
+    with pytest.raises(NotGood):
+        stop_degree_check(tail)
+    with pytest.raises(NotGood):
+        _old_stop_degree_check(tail)
 
 
 def test_stop_degree_check_rejects_non_good():
