@@ -23,24 +23,30 @@ Counting without n: census and expected_trace count the good walks by
 (distinct edges i, distinct vertices j, multiplicity profile), classes
 that every permutation of range(n) keeps (_walk_profiles).  Label a
 walk's vertices in the order it meets them: the first stop gets 0..s-1,
-and each distinct edge's unmet vertices the next labels, as one block;
-the blocks have sizes g_1 = s, g_2, ....  A walk is canonical when its
-labels already follow that rule.  A walk on range(n) has prod g_k!
-labellings by range(j) that keep its blocks, and a canonical walk has
+and each distinct edge's unmet vertices the next labels, as one block,
+whose first labels go to the unmet vertices of the stop that the step
+into the edge enters; the blocks have sizes g_1 = s, g_2, ..., and the
+entered stops' parts h_2, h_3, ....  A walk is canonical when its labels
+already follow that rule, so every canonical step is fixed, not only
+every canonical edge.  A walk on range(n) has s! prod h_k! (g_k - h_k)!
+labellings by range(j) that follow it, and a canonical walk has
 C(n, j) j! injections of range(j) into range(n), so a class holds
-C(n, j) j!/prod g_k! walks per canonical walk: integers, summed before
-any float arithmetic, so results are the same, bit for bit, as a search
-from every stop.  A good t-walk has at most J = s + (t // 2)(r - s)
-vertices, so the search runs on m = min(n, J) of them.  First-met order
-is kept too.  The search is lexicographic in (stop rank, edge rank)
-pairs, colex ranks do not depend on n, and a class has a walk from stop
-0, where the search from every stop starts.  Its least one is canonical,
-so it lies on range(j) and passes the filter: were F its first edge
-whose unmet vertices N are not the next labels, swapping some v of N
-past them with some w of them not in N would keep the class and the
-earlier steps, inside range(u), and lower the step into F, whose edge,
-and stop if it holds v, trade v for w.  So the classes are first met in
-the same order at every n.
+C(n, j) j!/(s! prod h_k! (g_k - h_k)!) walks per canonical walk:
+integers, summed before any float arithmetic, so results are the same,
+bit for bit, as a search from every stop.  A good t-walk has at most
+J = s + (t // 2)(r - s) vertices, so the search runs on m = min(n, J) of
+them.  First-met order is kept too.  The search is lexicographic in
+(stop rank, edge rank) pairs, colex ranks do not depend on n, and a
+class has a walk from stop 0, where the search from every stop starts.
+Its least one is canonical, so it lies on range(j) and passes the
+filter: were F its first edge whose unmet vertices N are not the next
+labels, swapping some v of N past them with some w of them not in N
+would keep the class and the earlier steps, inside range(u), and lower
+the step into F, whose edge, and stop if it holds v, trade v for w.
+Were the entered stop's unmet vertices not the first labels of F's
+block, swapping one of them with a smaller label of the block outside
+the stop would keep F and the earlier steps and lower that stop's colex
+rank.  So the classes are first met in the same order at every n.
 
 One search, every stop: enumerate_closed_walks yields every walk on all
 n vertices, from every stop in turn, but searches from stop 0 only.  The
@@ -92,8 +98,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns, _to_float,
-                     _work_budget, binom, catalan, colex_unrank, subset_ranks)
+from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns, _int_at_least,
+                     _to_float, _work_budget, binom, catalan, colex_unrank, subset_ranks)
 from .errors import BadCode, BadParams, NotGood, TooLarge
 
 # successor-table steps one walk call may build, C(n,r)*C(r,s)*C(r-s,s):
@@ -160,16 +166,24 @@ def _check_tables(stops: np.ndarray, edges: np.ndarray, succ: tuple, r: int, s: 
 
 
 def _checked_tables(
-    n: int, r: int, s: int, t: int, budget: int | None
+    n: int, r: int, s: int, t: int, budget: int | None, canonical: bool = False
 ) -> tuple[tuple[np.ndarray, np.ndarray, tuple], int]:
-    """The walk layer's one entry check: a non-loose s, then t < 1, then a
-    bad budget, then a table past MAX_TABLE_STEPS is rejected before the
-    tables are built; returns (tables, limit).  The message names the
-    binomials, since Python refuses to print an int past 4300 digits."""
+    """The walk layer's one entry check: a size that is not an integer,
+    then a non-loose s, then t < 1, then a bad budget, then n < 0, then a
+    table past MAX_TABLE_STEPS is rejected before the tables are built;
+    returns (tables, limit).  The tables are on range(n), or with canonical
+    on the m = min(n, J) vertices the canonical search needs.  The message
+    names the binomials, since Python refuses to print an int past 4300
+    digits."""
+    n, r, s, t = (_int_at_least(x, name, -math.inf) for x, name in zip((n, r, s, t), "nrst"))
     _check_loose(r, s)
     if t < 1:
         raise BadParams(f"walk length must be >= 1, got {t}")
     limit = _work_budget(budget)
+    if n < 0:
+        raise BadParams(f"need n >= 0, got {n}")
+    if canonical:
+        n = min(n, s + t // 2 * (r - s))
     if binom(n, r) * binom(r, s) * binom(r - s, s) > MAX_TABLE_STEPS:
         raise TooLarge(f"C({n}, {r})*C({r}, {s})*C({r - s}, {s}) walk-table steps "
                        f"exceed the cap of {MAX_TABLE_STEPS}")
@@ -178,13 +192,15 @@ def _checked_tables(
 
 def _raw_walks(
     succ: tuple, a0: int, t: int, good_only: bool, limit: int, nodes: int = 0,
-    emask: list | None = None,
+    emask: list | None = None, smask: list | None = None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (stop ranks, edge ranks) for every closed t-walk from stop a0,
-    or, given the edge bitmasks, only the canonical ones: a step over edge
-    j, with range(u) labelled, needs emask[j] >> u to be 2^g - 1.  Returns
-    the state count: nodes, the states visited before this search, plus
-    its own.
+    or, given the edge and stop bitmasks, only the canonical ones from
+    stop 0 = range(s): a step (b, j), with range(u) labelled, needs both
+    emask[j] >> u and smask[b] >> u to be of the form 2^k - 1, so that the
+    edge's unmet vertices take the next labels and the entered stop's
+    unmet ones the first of them.  Returns the state count: nodes, the
+    states visited before this search, plus its own.
 
     Depth-first search on a stack of branch iterators, one per step taken,
     so a walk of any length t needs no recursion.  Prunes on goodness when
@@ -193,14 +209,15 @@ def _raw_walks(
     are the root's checked steps (a0, b, j) reversed, which are walk steps
     too because disjointness and containment are symmetric.  More than
     limit states in all is TooLarge, whose message counts the a0 roots
-    before this one as finished, of every stop, or of one given emask.
+    before this one as finished, of every stop, or of one given the masks.
     """
     # close[b]: the steps (a0, j) from b back to a0, in j order
     close: dict[int, list] = {}
     for b, j in succ[a0]:
         close.setdefault(b, []).append((a0, j))
     near: dict[int, tuple] = {}
-    used = [0]  # range(used[k]): the labels met by the first k steps
+    # range(used[k]): the labels met by the first k steps, stop a0's first
+    used = [0 if smask is None else smask[a0].bit_length()]
 
     def branch(a: int, st: int):
         # the steps (b, j) that step st may take from stop a
@@ -217,7 +234,8 @@ def _raw_walks(
     while its:
         st = len(its)
         for b, j in its[-1]:
-            if emask is not None and (x := emask[j] >> used[-1]) & (x + 1):
+            if emask is not None and ((x := emask[j] >> (u := used[-1])) & (x + 1)
+                                      or (y := smask[b] >> u) & (y + 1)):
                 continue
             c = counts.get(j, 0)
             ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
@@ -410,19 +428,24 @@ def _walk_profiles(
 ) -> dict[tuple[int, int, tuple[int, ...]], int]:
     """Good closed t-walks on range(n) counted by (distinct edges, distinct
     vertices, sorted edge multiplicities), in first-met order, from the
-    canonical walks on m = min(n, J) vertices (see the module docstring)."""
-    m = min(n, s + t // 2 * (r - s))
-    (_, edges, succ), limit = _checked_tables(m, r, s, t, budget)
-    emask = _masks(edges).tolist()
+    canonical walks on m = min(n, J) vertices (see the module docstring).
+    Each canonical walk counts C(u, g) C(g, h) at each new edge's first
+    step, g the edge's new vertices, h those of the stop it enters and u
+    the labels met after it, and C(n, j) in all: C(n, j) j!/(s! prod h!
+    (g - h)!) walks."""
+    (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget, canonical=True)
+    smask, emask = _masks(stops).tolist(), _masks(edges).tolist()
     keys: Counter = Counter()
-    for _, e in _raw_walks(succ, 0, t, True, limit, emask=emask) if succ else ():
-        mult = Counter(e)
-        u, ways = s, 1
-        for j in mult:
-            g = emask[j].bit_length() - u
-            if g > 0:
+    for st, e in _raw_walks(succ, 0, t, True, limit, emask=emask, smask=smask) if succ else ():
+        u, ways = smask[0].bit_length(), 1  # stop 0 is range(s)
+        for k, j in enumerate(e):
+            # a new edge's block of g labels, the entered stop's h first; the
+            # last step's edge is never new, since the walk is good
+            if g := (emask[j] >> u).bit_length():
+                h = (smask[st[k + 1]] >> u).bit_length()
                 u += g
-                ways *= binom(u, g)
+                ways *= binom(u, g) * binom(g, h)
+        mult = Counter(e)
         keys[len(mult), u, tuple(sorted(mult.values()))] += ways
     return {(i, j, prof): c * binom(n, j) for (i, j, prof), c in keys.items()}
 
@@ -503,6 +526,7 @@ def tree_walk_count(n: int, r: int, s: int, k: int) -> int:
 
     Zero when n is too small to host that many vertices.
     """
+    n, r, s, k = (_int_at_least(x, name, -math.inf) for x, name in zip((n, r, s, k), "nrsk"))
     _check_loose(r, s)
     if k < 1:
         raise BadParams(f"need k >= 1, got {k}")

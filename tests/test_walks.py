@@ -229,9 +229,9 @@ def test_bad_walk_params_rejected_before_tables(entry, over_cap, binoms, monkeyp
 # the least budget at which census, the good-walk enumeration and the full
 # enumeration finish: the search states each visits, frozen; census visits
 # only the canonical walks on min(n, J) vertices, labelled in the order
-# they meet them
+# they meet them, each entered stop's unmet vertices first in its block
 @pytest.mark.parametrize("point, least", [
-    ((5, 3, 1, 4), (110, 5220, 28860)),
+    ((5, 3, 1, 4), (48, 5220, 28860)),
     ((6, 4, 2, 4), (19, 2610, 4050)),
     ((5, 2, 1, 5), (8, 360, 2460)),
 ])
@@ -245,6 +245,43 @@ def test_budget_counts_states_pinned(point, least):
         run(budget)
         with pytest.raises(TooLarge, match=f"visited {budget - 1} states"):
             run(budget - 1)
+
+
+@pytest.mark.parametrize("point, least", [
+    ((8, 3, 1, 5), 160), ((20, 4, 1, 4), 199), ((6, 3, 1, 6), 3127),
+])
+def test_census_budget_counts_states_pinned(point, least):
+    census(*point, budget=least)
+    with pytest.raises(TooLarge, match=f"visited {least - 1} states"):
+        census(*point, budget=least - 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: census(5, 3, 1, 4.0), "t must be an integer, got 4.0"),
+    (lambda: census(5.0, 3, 1, 4), "n must be an integer, got 5.0"),
+    (lambda: census(5, 3.0, 1, 4), "r must be an integer, got 3.0"),
+    (lambda: census(5, 3, 1.0, 4), "s must be an integer, got 1.0"),
+    (lambda: list(enumerate_closed_walks(5, 3, 1, 2.0)), "t must be an integer, got 2.0"),
+    (lambda: expected_trace(5.0, 3, 1, 4, 0.5), "n must be an integer, got 5.0"),
+    (lambda: tree_walk_count(5.0, 3, 1, 2), "n must be an integer, got 5.0"),
+    (lambda: tree_walk_count(5, 3, 1, 2.0), "k must be an integer, got 2.0"),
+    (lambda: census(-1, 3, 1, 4), "need n >= 0, got -1"),
+    (lambda: expected_trace(-1, 3, 1, 4, 0.5), "need n >= 0, got -1"),
+    (lambda: list(enumerate_closed_walks(-1, 3, 1, 2)), "need n >= 0, got -1"),
+], ids=["census-t", "census-n", "census-r", "census-s", "enumerate-t", "trace-n",
+        "tree-n", "tree-k", "census-negative-n", "trace-negative-n", "enumerate-negative-n"])
+def test_walk_sizes_must_be_integers(call, message):
+    with pytest.raises(BadParams, match=re.escape(message)):
+        call()
+
+
+def test_walk_sizes_take_numpy_integers():
+    n, r, s, t = map(np.int64, (5, 3, 1, 4))
+    assert census(n, r, s, t).counts == census(5, 3, 1, 4).counts
+    assert expected_trace(n, r, s, t, 0.5) == expected_trace(5, 3, 1, 4, 0.5)
+    assert tree_walk_count(n, r, s, np.int64(2)) == tree_walk_count(5, 3, 1, 2)
+    with pytest.raises(BadParams, match="probability"):
+        expected_trace(5.0, 3, 1, 4, 2.0)  # p before the sizes
 
 
 def test_walk_calls_keep_no_table():
@@ -668,6 +705,38 @@ def test_replayed_walks_match_the_search_from_every_stop(point):
     for good_only in (True, False) if n + t <= 9 else (True,):
         got = [(w.stops, w.edges) for w in enumerate_closed_walks(*point, good_only=good_only)]
         assert got == _searched_from_every_stop(*point, good_only)
+
+
+def _follows_the_labelling_rule(stops, edges, s):
+    """Whether a walk from range(s) gives each new edge's unmet vertices
+    the next labels, and the entered stop's unmet vertices the first of
+    them."""
+    met = set(range(s))
+    for k, f in enumerate(edges):
+        u = len(met)
+        new, entered = set(f) - met, set(stops[(k + 1) % len(stops)]) - met
+        if new != set(range(u, u + len(new))) or entered != set(range(u, u + len(entered))):
+            return False
+        met |= new
+    return True
+
+
+@pytest.mark.parametrize("point", _REPLAY_GRID, ids=_point_id)
+def test_canonical_filter_keeps_the_walks_that_follow_the_rule(point):
+    """The masked search from stop 0 on min(n, J) vertices yields exactly
+    the good walks of the unfiltered search that follow the labelling rule,
+    checked set by set in plain Python."""
+    n, r, s, t = point
+    stops, edges, succ = walks._tables(min(n, s + t // 2 * (r - s)), r, s)
+    smask, emask = walks._masks(stops).tolist(), walks._masks(edges).tolist()
+    ssets = [tuple(x) for x in stops.tolist()]
+    rsets = [tuple(x) for x in edges.tolist()]
+    kept = set(walks._raw_walks(succ, 0, t, True, 10**8, emask=emask, smask=smask))
+    ruled = {
+        (sidx, eidx) for sidx, eidx in walks._raw_walks(succ, 0, t, True, 10**8)
+        if _follows_the_labelling_rule([ssets[a] for a in sidx], [rsets[j] for j in eidx], s)
+    }
+    assert kept == ruled
 
 
 @pytest.mark.parametrize("point", [(5, 3, 1, 4), (6, 4, 2, 4), (4, 2, 1, 4)], ids=_point_id)
