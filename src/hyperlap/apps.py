@@ -21,7 +21,7 @@ from .errors import (
     NotLoose,
     ZeroDegree,
 )
-from .hypergraph import Hypergraph, degree_stats, expected_stop_degree
+from .hypergraph import Hypergraph, expected_stop_degree
 from .laplacian import AuxGraph, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
@@ -179,6 +179,10 @@ def edge_expansion(
     e(S,T) is the fraction of edges containing a disjoint pair from the two
     families.  Since r >= 2s, every edge contains at least one disjoint
     pair of s-sets, so the normalizer is just the edge count.
+    e(S) = vol(S)/vol.  vol(S) = sum of d_A over A in S is the number of
+    (edge, s-set) incidences whose s-set lies in S, counted on the rank
+    array that e(S,T) reads; vol = |E| C(r,s), as each edge holds C(r,s)
+    s-sets.
     """
     _check_loose(h.r, s)
     fam_a = {as_sset(x, h.n) for x in fam_s}
@@ -196,12 +200,10 @@ def edge_expansion(
     ranks = subset_ranks(h._edge_array, h.n, s)
     a, b = _disjoint_columns(h.r, s)
     hits = np.isin(ranks[:, a], rank_a) & np.isin(ranks[:, b], rank_b)
-    hit = int(hits.any(axis=1).sum())
-    degs = degree_stats(h, s).degrees
-    vol = int(degs.sum())
-    e_st = hit / h.num_edges
-    e_s = int(degs[rank_a].sum()) / vol
-    e_t = int(degs[rank_b].sum()) / vol
+    e_st = int(hits.any(axis=1).sum()) / h.num_edges
+    vol = h.num_edges * binom(h.r, s)
+    e_s = int(np.isin(ranks, rank_a).sum()) / vol
+    e_t = int(np.isin(ranks, rank_b).sum()) / vol
     lhs = abs(e_st - e_s * e_t)
     rhs = lambda_bar * math.sqrt(e_s * e_t * (1 - e_s) * (1 - e_t))
     return ExpansionReport(e_st, e_s, e_t, lhs, rhs, lhs <= rhs + tol)

@@ -46,7 +46,6 @@ import numpy as np
 from .combin import _check_loose, _to_float, _work_budget, binom, colex_unrank
 from .errors import BadParams, DegenerateKneser, HyperlapError, TooLarge
 from .hypergraph import (
-    DegreeStats,
     Hypergraph,
     RandomModel,
     complete,
@@ -55,6 +54,7 @@ from .hypergraph import (
     sample,
 )
 from .laplacian import (
+    AuxGraph,
     Laplacian,
     _dense_dim,
     build_aux,
@@ -65,6 +65,7 @@ from .laplacian import (
 )
 from .spectra import (
     Ecdf,
+    Spectrum,
     eigenvalues_sym,
     ks_distance,
     scaled_ecdf,
@@ -180,8 +181,12 @@ def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
     return sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), cfg.budget)
 
 
-def _laplacian_of(h: Hypergraph, s: int) -> Laplacian:
-    return normalized_laplacian(build_aux(h, s))
+def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, Laplacian, Spectrum]:
+    """The spectrum step of a trial: h's auxiliary graph at stop size s,
+    its normalized Laplacian and that Laplacian's spectrum."""
+    g = build_aux(h, s)
+    lap = normalized_laplacian(g)
+    return g, lap, eigenvalues_sym(lap.matrix)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -189,8 +194,7 @@ def _laplacian_of(h: Hypergraph, s: int) -> Laplacian:
 
 def _run_spectrum(cfg: ExperimentConfig):
     h = _instance(cfg, trial_seed(cfg.seed, 0))
-    lap = _laplacian_of(h, cfg.s)
-    spec = eigenvalues_sym(lap.matrix)
+    _, lap, spec = _spectrum_of(h, cfg.s)
     if cfg.dump_path:
         _atomic_write(cfg.dump_path, lambda fh: dump_matrix(lap.matrix, fh), "--dump-matrix")
     if cfg.use_complete:
@@ -228,8 +232,7 @@ def _run_radius(cfg: ExperimentConfig):
     bound = _radius_reference(cfg.n, cfg.r, cfg.s, cfg.p, cfg.slack)
 
     def one(k: int, h: Hypergraph) -> dict:
-        spec = eigenvalues_sym(_laplacian_of(h, cfg.s).matrix)
-        lam = spectral_radius(spec)
+        lam = spectral_radius(_spectrum_of(h, cfg.s)[2])
         return {"edges": h.num_edges, "lambda_bar": lam, "bound": bound,
                 "within": bool(lam <= bound)}
 
@@ -297,8 +300,9 @@ def _run_walk_count(cfg: ExperimentConfig):
 
 def _run_mixing(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        g = build_aux(h, cfg.s)
-        spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+        g, _, spec = _spectrum_of(h, cfg.s)
+        # the radius before the walk: a trial with no positive-degree stop is
+        # Disconnected, where transition_system would say EmptySample
         lam = spectral_radius(spec)
         rep = apps.mixing_contraction(
             apps.transition_system(g), lam, steps=cfg.steps, tol=cfg.tol
@@ -317,8 +321,7 @@ def _run_mixing(cfg: ExperimentConfig):
 
 def _run_diameter(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        g = build_aux(h, cfg.s)
-        spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+        g, _, spec = _spectrum_of(h, cfg.s)
         diam = apps.s_diameter(g)
         bnd = apps.diameter_bound(spec, g)
         return {"diameter": diam, "bound": bnd, "within": bool(diam <= bnd)}
@@ -331,8 +334,7 @@ def _run_diameter(cfg: ExperimentConfig):
 
 def _run_expansion(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        spec = eigenvalues_sym(_laplacian_of(h, cfg.s).matrix)
-        lam = spectral_radius(spec)
+        lam = spectral_radius(_spectrum_of(h, cfg.s)[2])
         count = binom(h.n, cfg.s)
         size = max(1, round(cfg.family_frac * count))
         # family draws get their own stream so instance sampling is untouched
@@ -387,15 +389,14 @@ def _run_diagnostics(cfg: ExperimentConfig):
 
     def one(k: int, h: Hypergraph) -> dict:
         g = build_aux(h, cfg.s)
-        stats = DegreeStats(cfg.s, g.stop_degrees, d)
-        degs = stats.degrees
+        degs = g.stop_degrees
         outside = int(((degs <= d - window) | (degs >= d + window)).sum())
         pert = apps.perturbation_diagnostics(g, cfg.p)
         return {
-            "degree_min": int(stats.min),
-            "degree_max": int(stats.max),
+            "degree_min": int(degs.min()),
+            "degree_max": int(degs.max()),
             "outside_window": outside,
-            "sum_sq_ratio": float(stats.sum_sq_dev / reference),
+            "sum_sq_ratio": float(((degs - d) ** 2).sum()) / reference,
             "norms": pert.norms,
             "identity_residual": pert.identity_residual,
             "triangle_holds": pert.triangle_holds,

@@ -145,9 +145,11 @@ def _comb_table(n: int, s: int) -> np.ndarray:
 def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
     """Colex ranks of the s-subsets of each row of an (m, r) array of
     increasing vertex ids in range(n): an (m, C(r,s)) array whose column k
-    is the subset at the positions colex_unrank(k, r, s)."""
+    is the subset at the positions colex_unrank(k, r, s).  The table spans
+    range(w), w = min(n, largest id + 1): a rank of an s-subset of range(w)
+    is below C(w, s), so the clip at C(w, s) changes none of its terms."""
     sets = np.asarray(sets, dtype=np.int64)
-    tab = _comb_table(n, s)
+    tab = _comb_table(min(n, int(sets.max()) + 1) if sets.size else 0, s)
     cols = colex_unrank(np.arange(math.comb(sets.shape[1], s)), sets.shape[1], s)
     out = np.zeros((len(sets), len(cols)), dtype=np.int64)
     for i in range(s):

@@ -10,6 +10,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -131,6 +132,7 @@ def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
 
 def complete(n: int, r: int) -> Hypergraph:
     """The complete r-uniform hypergraph on range(n)."""
+    n, r = _int_at_least(n, "n", -math.inf), _int_at_least(r, "r", -math.inf)
     if r < 1 or r > n:
         raise BadRank(f"need 1 <= r <= n, got r={r}, n={n}")
     edges = colex_unrank(np.arange(binom(n, r)), n, r)

@@ -545,6 +545,8 @@ def tree_walk_count(n: int, r: int, s: int, k: int) -> int:
 
 def census_upper_bound(n: int, r: int, s: int, t: int, i: int, j: int) -> float:
     """Closed-form upper bound on the (i, j) census cell for length-t walks."""
+    n, r, s, t, i, j = (_int_at_least(x, name, -math.inf)
+                        for x, name in zip((n, r, s, t, i, j), "nrstij"))
     _check_loose(r, s)
     if t < 2 or i < 1 or 2 * i > t:
         raise BadParams(f"need 1 <= i <= t/2, got i={i}, t={t}")

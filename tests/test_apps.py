@@ -14,6 +14,7 @@ from hyperlap import (
     Disconnected,
     EmptyFamily,
     EmptySample,
+    Hypergraph,
     RandomModel,
     binom,
     build_aux,
@@ -34,6 +35,7 @@ from hyperlap import (
     spectral_radius,
     transition_system,
 )
+import hyperlap.combin as combin
 
 
 def _spec_of(h, s):
@@ -248,6 +250,22 @@ def test_expansion_hits_match_brute_force():
         assert rep.e_st == hit / h.num_edges
         assert rep.e_s == sum(int(degs[sset_rank(x, n)]) for x in fam_s) / vol
         assert rep.e_t == sum(int(degs[sset_rank(x, n)]) for x in fam_t) / vol
+
+
+def test_expansion_at_a_huge_n(monkeypatch):
+    """One edge on 2**40 vertices: the rank tables span the ids the rows
+    hold, not range(n), and no array over all C(n, s) s-sets is built."""
+    table = combin._comb_table
+
+    def small(n, s):
+        if n > 2:
+            raise AssertionError(f"a rank table over range({n})")
+        return table(n, s)
+
+    monkeypatch.setattr(combin, "_comb_table", small)
+    rep = edge_expansion(Hypergraph(2**40, 2, frozenset({(0, 1)})), 1, [(0,)], [(1,)], 0.5)
+    assert (rep.e_st, rep.e_s, rep.e_t) == (1.0, 0.5, 0.5)
+    assert (rep.lhs, rep.rhs, rep.holds) == (0.75, 0.125, False)
 
 
 def test_expansion_errors():

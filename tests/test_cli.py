@@ -83,6 +83,21 @@ def test_exit_one_on_trial_error(capsys):
     assert doc["summary"]["errors"] == 1
 
 
+@pytest.mark.parametrize("sub, error", [
+    ("radius", "Disconnected"), ("mixing", "Disconnected"), ("diameter", "Disconnected"),
+    ("expansion", "Disconnected"), ("diagnostics", "ZeroDegree"),
+])
+def test_empty_trial_error_is_the_first_failing_step(sub, error, capsys):
+    """An (almost surely) empty instance has no positive-degree stop: the
+    spectral radius, or the app that reads the auxiliary graph first,
+    names the error; mixing takes the radius before its walk, which
+    would say EmptySample."""
+    code, doc = _run([sub, "--n", "6", "--r", "3", "--s", "1", "--p", "1e-09",
+                      "--trials", "1"], capsys)
+    assert code == 1
+    assert [rec["error"] for rec in doc["records"]] == [error]
+
+
 def test_exit_two_on_usage_error(capsys):
     # no instance source
     code, doc = _run(["spectrum", "--n", "10", "--r", "4", "--s", "2"], capsys)
@@ -422,10 +437,18 @@ def test_setup_gate_refuses_before_any_instance(argv, error, message, monkeypatc
 @pytest.mark.parametrize("argv", [
     ["diameter", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5"],
     ["diagnostics", "--n", "30", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["radius", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["semicircle", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["mixing", "--n", "12", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["expansion", "--n", "14", "--r", "3", "--s", "1", "--p", "0.5"],
+    ["monotonicity", "--n", "8", "--r", "4", "--p", "0.5"],
 ])
 def test_one_subset_ranks_pass_per_trial(argv, monkeypatch, capsys):
     """The apps read the auxiliary graph the trial built, so the trial
-    ranks its edges' s-sets once, not again for the s-set degrees."""
+    ranks its edges' s-sets once, not again for the s-set degrees.
+    edge_expansion ranks the two families and the edges itself and reads
+    its volumes off those ranks; monotonicity builds one graph per s."""
+    passes = {"expansion": 4, "monotonicity": 2}.get(argv[0], 1)
     rank = sys.modules["hyperlap.combin"].subset_ranks
     calls = []
 
@@ -439,8 +462,11 @@ def test_one_subset_ranks_pass_per_trial(argv, monkeypatch, capsys):
         if name.split(".")[0] == "hyperlap" and getattr(mod, "subset_ranks", None) is rank:
             monkeypatch.setattr(mod, "subset_ranks", counted)
     _, doc = _run(argv + ["--trials", "5", "--seed", "0"], capsys)
-    assert len(doc["records"]) == 5 and "error" not in doc["summary"], doc
-    assert len(calls) == 5
+    # five trials, each without an error record; semicircle's records are its bins
+    assert "error" not in doc["summary"], doc
+    assert not any("error" in rec for rec in doc["records"]), doc
+    assert len(doc["records"]) == (40 if argv[0] == "semicircle" else 5)
+    assert len(calls) == 5 * passes
 
 
 @pytest.mark.parametrize("data", [None, b"x 2 1\n0 1\n", b"5 2 1\n0 1.5\n",

@@ -226,8 +226,17 @@ def test_degree_of_an_id_past_int64_is_zero():
 def test_complete_counts():
     assert complete(4, 2).num_edges == 6
     assert complete(6, 3).num_edges == 20
-    with pytest.raises(BadRank):
-        complete(3, 4)
+    assert complete(np.int64(4), np.int64(2)) == complete(4, 2)
+    for n, r in [(3, 4), (5, 0), (-1, 2)]:  # r outside [1, n]
+        with pytest.raises(BadRank):
+            complete(n, r)
+
+
+@pytest.mark.parametrize("n, r, message", [(5.0, 2, "n must be an integer, got 5.0"),
+                                          (5, 2.0, "r must be an integer, got 2.0")])
+def test_complete_sizes_must_be_integers(n, r, message):
+    with pytest.raises(BadParams, match=message):
+        complete(n, r)
 
 
 def test_complete_degrees():

@@ -574,6 +574,23 @@ def test_census_upper_bound_validation():
         census_upper_bound(10**111, 3, 1, 4, 1, 3)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((5.5, 3, 1, 4, 2, 4), "n must be an integer, got 5.5"),
+    ((5, 3.0, 1, 4, 2, 4), "r must be an integer, got 3.0"),
+    ((5, 3, 1.0, 4, 2, 4), "s must be an integer, got 1.0"),
+    ((5, 3, 1, 4.0, 2, 4), "t must be an integer, got 4.0"),
+    ((5, 3, 1, 4, 2.0, 4), "i must be an integer, got 2.0"),
+    ((5, 3, 1, 4, 2, 4.0), "j must be an integer, got 4.0"),
+], ids=list("nrstij"))
+def test_census_upper_bound_sizes_must_be_integers(args, message):
+    """5.5 as n used to give a bound, and a float r, s, t, i or j a bare
+    TypeError; numpy ints give the bound of the Python ints."""
+    with pytest.raises(BadParams, match=re.escape(message)):
+        census_upper_bound(*args)
+    ints = (5, 3, 1, 4, 2, 4)
+    assert census_upper_bound(*map(np.int64, ints)) == census_upper_bound(*ints)
+
+
 def test_expected_trace_past_the_float_range():
     """A float trace whose walk count no float holds is TooLarge; the exact
     trace is still a Fraction."""
