@@ -13,6 +13,7 @@ from hyperlap import (
     Ecdf,
     RandomModel,
     binom,
+    build_aux,
     centered_weight,
     eigenvalues_sym,
     ks_distance,
@@ -25,7 +26,7 @@ radius = 2.0 * np.sqrt(binom(r - s, s) * binom(n - s, r - s) * p * (1 - p))
 print(f"pooling {seeds} instances of n={n}, r={r}, p={p}; scale R = {radius:.3f}\n")
 
 pool = np.concatenate([
-    eigenvalues_sym(centered_weight(sample(RandomModel(n, r, p, seed)), s, p)).values
+    eigenvalues_sym(centered_weight(build_aux(sample(RandomModel(n, r, p, seed)), s), p)).values
     for seed in range(seeds)
 ]) / radius
 

@@ -39,7 +39,6 @@ from .errors import (
     ZeroDegree,
 )
 from .hypergraph import (
-    DegreeStats,
     Hypergraph,
     RandomModel,
     complete,

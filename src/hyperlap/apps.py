@@ -22,8 +22,16 @@ from .errors import (
     ZeroDegree,
 )
 from .hypergraph import Hypergraph, expected_stop_degree
-from .laplacian import AuxGraph, build_aux, normalized_laplacian
+from .laplacian import AuxGraph, Laplacian, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
+
+
+def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, Laplacian, Spectrum]:
+    """The spectrum step of a trial: h's auxiliary graph at stop size s,
+    its normalized Laplacian and that Laplacian's spectrum."""
+    g = build_aux(h, s)
+    lap = normalized_laplacian(g)
+    return g, lap, eigenvalues_sym(lap.matrix)
 
 
 def _hop_diameter(g: AuxGraph) -> int | None:
@@ -257,11 +265,9 @@ def monotonicity_check(h: Hypergraph, tol: float = 1e-9) -> MonotonicityReport:
         raise NotLoose(f"no valid stop size for r={h.r}")
     rows = []
     for s in range(1, h.r // 2 + 1):
-        g = build_aux(h, s)
-        lap = normalized_laplacian(g)
+        _, lap, spec = _spectrum_of(h, s)
         if lap.excluded.size:
             raise Disconnected(f"zero-degree {s}-sets present")
-        spec = eigenvalues_sym(lap.matrix)
         if spec.trivial_count != 1:
             raise Disconnected(f"auxiliary graph at s={s} is disconnected")
         rows.append(MonotonicityRow(s, spec.lambda1, spec.lambda_max))

@@ -54,18 +54,14 @@ from .hypergraph import (
     sample,
 )
 from .laplacian import (
-    AuxGraph,
-    Laplacian,
     _dense_dim,
     build_aux,
     complete_spectrum,
     centered_weight,
     dump_matrix,
-    normalized_laplacian,
 )
 from .spectra import (
     Ecdf,
-    Spectrum,
     eigenvalues_sym,
     ks_distance,
     scaled_ecdf,
@@ -181,20 +177,12 @@ def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
     return sample(RandomModel(cfg.n, cfg.r, cfg.p, seed), cfg.budget)
 
 
-def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, Laplacian, Spectrum]:
-    """The spectrum step of a trial: h's auxiliary graph at stop size s,
-    its normalized Laplacian and that Laplacian's spectrum."""
-    g = build_aux(h, s)
-    lap = normalized_laplacian(g)
-    return g, lap, eigenvalues_sym(lap.matrix)
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def _run_spectrum(cfg: ExperimentConfig):
     h = _instance(cfg, trial_seed(cfg.seed, 0))
-    _, lap, spec = _spectrum_of(h, cfg.s)
+    _, lap, spec = apps._spectrum_of(h, cfg.s)
     if cfg.dump_path:
         _atomic_write(cfg.dump_path, lambda fh: dump_matrix(lap.matrix, fh), "--dump-matrix")
     if cfg.use_complete:
@@ -232,7 +220,7 @@ def _run_radius(cfg: ExperimentConfig):
     bound = _radius_reference(cfg.n, cfg.r, cfg.s, cfg.p, cfg.slack)
 
     def one(k: int, h: Hypergraph) -> dict:
-        lam = spectral_radius(_spectrum_of(h, cfg.s)[2])
+        lam = spectral_radius(apps._spectrum_of(h, cfg.s)[2])
         return {"edges": h.num_edges, "lambda_bar": lam, "bound": bound,
                 "within": bool(lam <= bound)}
 
@@ -256,7 +244,7 @@ def _run_semicircle(cfg: ExperimentConfig):
     radius = 2.0 * math.sqrt(row_sum * cfg.p * (1.0 - cfg.p))
 
     def one(k: int, h: Hypergraph) -> dict:
-        c = centered_weight(h, cfg.s, cfg.p)
+        c = centered_weight(build_aux(h, cfg.s), cfg.p)
         return {"points": scaled_ecdf(eigenvalues_sym(c), 0.0, radius).points}
 
     per_trial, good, _ = _trials(cfg, one, lambda rec: True)
@@ -300,7 +288,7 @@ def _run_walk_count(cfg: ExperimentConfig):
 
 def _run_mixing(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        g, _, spec = _spectrum_of(h, cfg.s)
+        g, _, spec = apps._spectrum_of(h, cfg.s)
         # the radius before the walk: a trial with no positive-degree stop is
         # Disconnected, where transition_system would say EmptySample
         lam = spectral_radius(spec)
@@ -321,7 +309,7 @@ def _run_mixing(cfg: ExperimentConfig):
 
 def _run_diameter(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        g, _, spec = _spectrum_of(h, cfg.s)
+        g, _, spec = apps._spectrum_of(h, cfg.s)
         diam = apps.s_diameter(g)
         bnd = apps.diameter_bound(spec, g)
         return {"diameter": diam, "bound": bnd, "within": bool(diam <= bnd)}
@@ -334,7 +322,7 @@ def _run_diameter(cfg: ExperimentConfig):
 
 def _run_expansion(cfg: ExperimentConfig):
     def one(k: int, h: Hypergraph) -> dict:
-        lam = spectral_radius(_spectrum_of(h, cfg.s)[2])
+        lam = spectral_radius(apps._spectrum_of(h, cfg.s)[2])
         count = binom(h.n, cfg.s)
         size = max(1, round(cfg.family_frac * count))
         # family draws get their own stream so instance sampling is untouched

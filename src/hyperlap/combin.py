@@ -41,6 +41,7 @@ def _work_budget(budget: int | None) -> int:
 
 
 def _check_loose(r: int, s: int) -> None:
+    r, s = _int_at_least(r, "r", -math.inf), _int_at_least(s, "s", -math.inf)
     if s < 1 or 2 * s > r:
         raise NotLoose(f"need 1 <= s <= r/2, got s={s}, r={r}")
 
@@ -114,6 +115,8 @@ def sset_rank(vertices: Iterable[int], n: int) -> int:
 
 def sset_unrank(idx: int, n: int, s: int) -> SSet:
     """Inverse of sset_rank: the s-set of colex rank idx in range(n)."""
+    idx, n, s = (_int_at_least(x, name, -math.inf)
+                 for x, name in zip((idx, n, s), ("idx", "n", "s")))
     if s < 1 or s > n:
         raise BadParams(f"need 1 <= s <= n, got s={s}, n={n}")
     total = math.comb(n, s)

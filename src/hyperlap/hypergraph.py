@@ -194,45 +194,15 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
     return Hypergraph(model.n, model.r, edges)
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Degrees of all s-sets in colex order, with summary statistics.
-
-    sum_sq_dev is the sum of squared deviations from d_ref when a
-    reference degree is supplied, else from the empirical mean.
-    """
-
-    s: int
-    degrees: np.ndarray = field(repr=False)
-    d_ref: float | None
-
-    @property
-    def min(self) -> int:
-        return int(self.degrees.min())
-
-    @property
-    def max(self) -> int:
-        return int(self.degrees.max())
-
-    @property
-    def mean(self) -> float:
-        return float(self.degrees.mean())
-
-    @property
-    def sum_sq_dev(self) -> float:
-        center = self.mean if self.d_ref is None else self.d_ref
-        return float(((self.degrees - center) ** 2).sum())
-
-
-def degree_stats(h: Hypergraph, s: int, d_ref: float | None = None) -> DegreeStats:
-    """Degree of every s-set of range(n), in colex order."""
+def degree_stats(h: Hypergraph, s: int) -> np.ndarray:
+    """The int64 vector of the degrees of the s-sets of range(n), in colex
+    order: entry a counts the edges through the s-set of colex rank a."""
     if s < 1 or s > h.r:
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={h.r}")
     if s > h.n:
         raise EmptySample(f"no {s}-sets on {h.n} vertices")
     ranks = subset_ranks(h._edge_array, h.n, s)
-    degs = np.bincount(ranks.ravel(), minlength=binom(h.n, s))
-    return DegreeStats(s, degs, d_ref)
+    return np.bincount(ranks.ravel(), minlength=binom(h.n, s))
 
 
 def write_hypergraph(h: Hypergraph, fh: IO[str]) -> None:

@@ -132,16 +132,13 @@ def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
     return sorted(pairs, key=lambda pr: pr.value)
 
 
-def centered_weight(h: Hypergraph, s: int, p: float) -> SymMatrix:
-    """W minus its Bernoulli(p) expectation C(n-2s, r-2s) p K, with K the
-    Kneser adjacency on s-sets."""
-    _check_loose(h.r, s)
+def centered_weight(g: AuxGraph, p: float) -> SymMatrix:
+    """The weights of the auxiliary graph g minus their Bernoulli(p)
+    expectation C(n-2s, r-2s) p K, with K the Kneser adjacency on s-sets."""
     _check_probability(p)
-    g = build_aux(h, s)
     c = g.weights.astype(np.float64)
-    if h.n >= 2 * s:
-        coef = binom(h.n - 2 * s, h.r - 2 * s) * p
-        c -= coef * kneser_adjacency(h.n, s)
+    if g.n >= 2 * g.s:
+        c -= binom(g.n - 2 * g.s, g.r - 2 * g.s) * p * kneser_adjacency(g.n, g.s)
     return SymMatrix(c)
 
 

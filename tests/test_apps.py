@@ -181,7 +181,7 @@ def test_diameter_bound_random():
         bound = diameter_bound(spec, g)
         assert s_diameter(g) <= bound
         # the same bound with |E| C(r,s) and the least s-set degree read off h
-        num = math.log(h.num_edges * binom(3, 1) / degree_stats(h, 1).min)
+        num = math.log(h.num_edges * binom(3, 1) / int(degree_stats(h, 1).min()))
         lam1, lmax = spec.lambda1, spec.lambda_max
         assert bound == math.ceil(num / math.log((lmax + lam1) / (lmax - lam1)))
     assert hits >= 8  # p=0.5 at n=12 is far above the connectivity threshold
@@ -244,7 +244,7 @@ def test_expansion_hits_match_brute_force():
                 for a in combinations(e, s) for b in combinations(e, s))
             for e in h.edges
         )
-        degs = degree_stats(h, s).degrees
+        degs = degree_stats(h, s)
         vol = int(degs.sum())
         rep = edge_expansion(h, s, fam_s, fam_t, 0.5)
         assert rep.e_st == hit / h.num_edges

@@ -1,6 +1,7 @@
 """Ranking, binomials, and the Kneser closed form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from hyperlap import (
     BadRank,
     BadVertex,
     DegenerateKneser,
+    NotLoose,
     as_sset,
     binom,
+    build_aux,
     catalan,
+    complete,
+    complete_spectrum,
+    edge_expansion,
     kneser_adjacency,
     kneser_spectrum,
     sset_rank,
@@ -75,6 +81,38 @@ def test_unrank_is_fast_for_huge_n():
     for idx in (top - 1, top - 2, top - 10**6, top - binom(n - 1, 2), top // 2):
         assert sset_rank(sset_unrank(idx, n, 3), n) == idx
     assert sset_unrank(top - 1, n, 3) == (n - 3, n - 2, n - 1)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((3.5, 5, 2), "idx"), ((3, 5.0, 2), "n"), ((3, 5, 2.0), "s"), (("3", 5, 2), "idx"),
+])
+def test_unrank_sizes_must_be_integers(args, name):
+    with pytest.raises(BadParams, match=rf"^{name} must be an integer, got "):
+        sset_unrank(*args)
+
+
+def test_unrank_takes_numpy_integers():
+    assert sset_unrank(np.int64(3), np.int32(5), np.int8(2)) == (0, 3)
+    assert type(sset_unrank(np.int64(3), 5, 2)[0]) is int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_aux(complete(5, 2), 1.0), "s must be an integer, got 1.0"),
+    (lambda: complete_spectrum(10, 4.0, 2), "r must be an integer, got 4.0"),
+    (lambda: edge_expansion(complete(6, 4), 1.5, [(0,)], [(1,)], 0.5),
+     "s must be an integer, got 1.5"),
+], ids=["build_aux", "complete_spectrum", "edge_expansion"])
+def test_stop_sizes_must_be_integers(call, message):
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_loose_check_keeps_its_order_for_integers():
+    with pytest.raises(NotLoose, match=r"^need 1 <= s <= r/2, got s=3, r=4$"):
+        complete_spectrum(10, 4, 3)
+    with pytest.raises(NotLoose, match=r"^need 1 <= s <= r/2, got s=1, r=1$"):
+        build_aux(complete(5, 1), np.int64(1))
+    assert build_aux(complete(5, 2), np.int64(1)).dim == 5
 
 
 @given(st.data())

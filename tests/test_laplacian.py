@@ -103,7 +103,7 @@ def test_aux_and_degrees_match_definitions(data):
     for s in range(1, r + 1):
         stops = [set(x) for x in ssets_colex(n, s)]
         deg = [sum(1 for e in h.edges if x <= set(e)) for x in stops]
-        assert degree_stats(h, s).degrees.tolist() == deg
+        assert degree_stats(h, s).tolist() == deg
         if 2 * s > r:
             continue
         g = build_aux(h, s)
@@ -211,9 +211,9 @@ def test_centered_weight_complete_and_empty():
     n, r, s, p = 8, 4, 2, 0.3
     k = kneser_adjacency(n, s)
     coef = binom(n - 2 * s, r - 2 * s)
-    full = centered_weight(complete(n, r), s, p)
+    full = centered_weight(build_aux(complete(n, r), s), p)
     assert np.max(np.abs(full.entries - coef * (1 - p) * k)) < 1e-12
-    empty = centered_weight(hypergraph(n, r, []), s, p)
+    empty = centered_weight(build_aux(hypergraph(n, r, []), s), p)
     assert np.max(np.abs(empty.entries + coef * p * k)) < 1e-12
 
 
@@ -223,7 +223,7 @@ def test_centered_weight_mean_is_zero():
     coef = binom(n - 2, r - 2)
     acc = np.zeros((n, n))
     for seed in range(trials):
-        acc += centered_weight(sample(RandomModel(n, r, p, seed)), s, p).entries
+        acc += centered_weight(build_aux(sample(RandomModel(n, r, p, seed)), s), p).entries
     acc /= trials
     sigma = np.sqrt(coef * p * (1 - p) / trials)  # variance bound per entry
     mask = 1 - np.eye(n)

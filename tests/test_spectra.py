@@ -223,12 +223,12 @@ def test_ks_distance_uniform_sample():
 
 def test_scaled_spectrum_support():
     """Centered weight eigenvalues stay inside the slightly inflated disk."""
-    from hyperlap import binom, centered_weight
+    from hyperlap import binom, build_aux, centered_weight
 
     n, r, s, p = 40, 3, 1, 0.3
     radius = 2 * np.sqrt(binom(2, 1) * binom(39, 2) * p * (1 - p))
     for seed in range(3):
         h = sample(RandomModel(n, r, p, seed))
-        pts = scaled_ecdf(eigenvalues_sym(centered_weight(h, s, p)), 0.0, radius)
+        pts = scaled_ecdf(eigenvalues_sym(centered_weight(build_aux(h, s), p)), 0.0, radius)
         assert pts.points.min() > -1.2
         assert pts.points.max() < 1.2

@@ -1055,6 +1055,36 @@ def test_canonical_partition_rejects_non_tree():
         canonical_partition(w)  # one edge used four times, not a 2-tree
 
 
+@pytest.mark.parametrize("stops, extras, code, err, message", [
+    ([(0,), (1,), (2,)], [(3,), (4,)], "(()*)", BadCode, "tree codes cannot contain '*'"),
+    ([(0,)], [(2,)], "()", BadParams, "code has 1 pairs, need 2 stops, got 1"),
+    ([(0,), (1,)], [], "()", BadParams, "code has 1 pairs, need 1 leftover sets, got 0"),
+    ([(0,), (1, 2)], [(3,)], "()", BadParams, "stops must all have the same positive size"),
+    ([(), ()], [(3,)], "()", BadParams, "stops must all have the same positive size"),
+    ([(0,), (1,), (2,)], [(3,), (4, 5)], "()()", BadParams,
+     "leftover sets must all have the same size"),
+    ([(0,), (1,), (0,)], [(3,), (4,)], "()()", BadParams,
+     "stops and leftover sets must be pairwise disjoint"),
+], ids=["star", "stops", "leftovers", "stop-sizes", "empty-stops", "leftover-sizes",
+        "disjoint"])
+def test_walk_from_code_refusals(stops, extras, code, err, message):
+    with pytest.raises(err, match=f"^{re.escape(message)}$"):
+        walk_from_code(stops, extras, code)
+
+
+@pytest.mark.parametrize("stops, edges, message", [
+    (PAPER_WALK.stops, PAPER_WALK.edges, "walk is not tree-shaped"),
+    (((0,), (1,), (0,), (1,)), ((0, 1, 2), (0, 1, 3)) * 2, "expected 3 distinct stops, got 2"),
+    (((0,), (1,), (0,), (2,)), ((0, 1, 2), (0, 1, 2), (0, 2, 3), (0, 2, 3)),
+     "an edge carries vertices of a third stop"),
+    (((0,), (1,), (0,), (2,)), ((0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)),
+     "walk does not span the maximum vertex count"),
+], ids=["not-tree", "stops", "third-stop", "span"])
+def test_canonical_partition_refusals(stops, edges, message):
+    with pytest.raises(NotGood, match=f"^{re.escape(message)}$"):
+        canonical_partition(ClosedWalk(stops, edges))
+
+
 def _dyck_words(k):
     if k == 0:
         return [""]
