@@ -30,7 +30,7 @@ for ep in complete_spectrum(n, r, s):
 
 # the eigensolver route: build the weighted s-set graph and decompose
 lap = normalized_laplacian(build_aux(complete(n, r), s))
-spec = eigenvalues_sym(lap.matrix)
+spec = eigenvalues_sym(lap)
 want = np.sort(np.concatenate([
     np.full(ep.multiplicity, float(ep.value)) for ep in complete_spectrum(n, r, s)
 ]))

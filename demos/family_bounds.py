@@ -31,7 +31,7 @@ from hyperlap import (
 # instances, the report keeps both sides so that is visible
 n, r, s, p = 14, 3, 1, 0.5
 h = sample(RandomModel(n, r, p, 0))
-lam = spectral_radius(eigenvalues_sym(normalized_laplacian(build_aux(h, s)).matrix))
+lam = spectral_radius(eigenvalues_sym(normalized_laplacian(build_aux(h, s))))
 rng = np.random.default_rng(7)
 idx = rng.permutation(binom(n, s))
 fam_a = [sset_unrank(int(i), n, s) for i in idx[:10]]

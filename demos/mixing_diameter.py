@@ -29,7 +29,7 @@ g = build_aux(h, s)
 print(f"instance: {h.num_edges} edges on {n} vertices, s={s},"
       f" connected={is_connected(g)}")
 
-spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+spec = eigenvalues_sym(normalized_laplacian(g))
 lam = spectral_radius(spec)
 print(f"nontrivial spectral radius lambda_bar = {lam:.4f}\n")
 

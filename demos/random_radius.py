@@ -30,7 +30,7 @@ n, r, s, p = 30, 3, 1, 0.5
 slack = 3.0
 noise = math.sqrt((1 - p) / (binom(n - s, r - s) * p))
 bound = s / (n - s) + slack * noise
-ref = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)).matrix)
+ref = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)))
 
 print(f"model: each of the {binom(n, r)} possible edges kept with p={p}")
 print(f"radius bound {bound:.4f} = {s}/{n - s} + {slack} * {noise:.4f}\n")
@@ -38,7 +38,7 @@ print("seed   lambda_bar   spectrum shift")
 worst_rad = worst_dev = 0.0
 for seed in range(10):
     h = sample(RandomModel(n, r, p, seed))
-    spec = eigenvalues_sym(normalized_laplacian(build_aux(h, s)).matrix)
+    spec = eigenvalues_sym(normalized_laplacian(build_aux(h, s)))
     rad = spectral_radius(spec)
     dev = deviation(spec, ref)
     worst_rad = max(worst_rad, rad)

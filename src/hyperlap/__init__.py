@@ -51,7 +51,6 @@ from .hypergraph import (
 )
 from .laplacian import (
     AuxGraph,
-    Laplacian,
     SymMatrix,
     build_aux,
     centered_weight,

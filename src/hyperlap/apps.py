@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combin import (_check_loose, _disjoint_columns, _kneser_terms, as_sset, binom,
-                     kneser_adjacency, subset_ranks)
+from .combin import (_check_loose, _disjoint_columns, _int_at_least, _kneser_terms, as_sset,
+                     binom, kneser_adjacency, subset_ranks)
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -22,16 +22,16 @@ from .errors import (
     ZeroDegree,
 )
 from .hypergraph import Hypergraph, expected_stop_degree
-from .laplacian import AuxGraph, Laplacian, build_aux, normalized_laplacian
+from .laplacian import AuxGraph, SymMatrix, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
 
-def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, Laplacian, Spectrum]:
+def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, SymMatrix, Spectrum]:
     """The spectrum step of a trial: h's auxiliary graph at stop size s,
-    its normalized Laplacian and that Laplacian's spectrum."""
+    its normalized Laplacian on the live stops and that matrix's spectrum."""
     g = build_aux(h, s)
     lap = normalized_laplacian(g)
-    return g, lap, eigenvalues_sym(lap.matrix)
+    return g, lap, eigenvalues_sym(lap)
 
 
 def _hop_diameter(g: AuxGraph) -> int | None:
@@ -43,7 +43,7 @@ def _hop_diameter(g: AuxGraph) -> int | None:
     the stored powers R^(2^i) to the smallest k with R^k all true.  The
     float32 products are exact: each entry counts paths, at most dim < 2**24.
     """
-    kept = np.flatnonzero(g.stop_degrees > 0)
+    kept = g.kept
     if kept.size < 2:
         return 0
     powers = [g.weights[np.ix_(kept, kept)] > 0]
@@ -66,13 +66,13 @@ def _hop_diameter(g: AuxGraph) -> int | None:
 def is_connected(g: AuxGraph) -> bool:
     """True when every s-set has positive degree and the auxiliary graph
     is one component."""
-    return bool((g.stop_degrees > 0).all()) and _hop_diameter(g) is not None
+    return g.kept.size == g.dim and _hop_diameter(g) is not None
 
 
 def s_diameter(g: AuxGraph) -> int:
     """Largest s-distance, in hops, between two positive-degree stops of
     the auxiliary graph."""
-    if not (g.stop_degrees > 0).any():
+    if g.kept.size == 0:
         raise Disconnected("auxiliary graph has no positive-degree stops")
     diam = _hop_diameter(g)
     if diam is None:
@@ -114,7 +114,7 @@ class TransitionSystem:
 def transition_system(g: AuxGraph) -> TransitionSystem:
     """P = D_aux^{-1} W restricted to positive-degree stops; the stationary
     distribution is degree / volume."""
-    kept = np.flatnonzero(g.stop_degrees > 0)
+    kept = g.kept
     if kept.size == 0:
         raise EmptySample("no positive-degree stops")
     w = g.weights[np.ix_(kept, kept)].astype(np.float64)
@@ -233,6 +233,7 @@ def ekr_bound(n: int, s: int) -> EkrBound:
     An intersecting family of s-sets is no larger than min(N+, N-), which
     collapses to the star size C(n-1, s-1).
     """
+    n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
     if s < 1 or n < 2 * s:
         raise DegenerateKneser(f"need n >= 2s >= 2, got n={n}, s={s}")
     # a Laplacian eigenvalue above 1 is a Kneser eigenvalue below 0
@@ -265,8 +266,8 @@ def monotonicity_check(h: Hypergraph, tol: float = 1e-9) -> MonotonicityReport:
         raise NotLoose(f"no valid stop size for r={h.r}")
     rows = []
     for s in range(1, h.r // 2 + 1):
-        _, lap, spec = _spectrum_of(h, s)
-        if lap.excluded.size:
+        g, _, spec = _spectrum_of(h, s)
+        if g.kept.size < g.dim:
             raise Disconnected(f"zero-degree {s}-sets present")
         if spec.trivial_count != 1:
             raise Disconnected(f"auxiliary graph at s={s} is disconnected")
@@ -306,7 +307,7 @@ def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
     """
     if not 0 < p < 1:
         raise BadParams(f"need 0 < p < 1, got {p}")
-    if (g.stop_degrees == 0).any():
+    if g.kept.size < g.dim:
         raise ZeroDegree("every s-set needs positive degree")
     n, r, s = g.n, g.r, g.s
     cap_n = g.dim

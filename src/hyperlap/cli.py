@@ -182,9 +182,9 @@ def _instance(cfg: ExperimentConfig, seed: int) -> Hypergraph:
 
 def _run_spectrum(cfg: ExperimentConfig):
     h = _instance(cfg, trial_seed(cfg.seed, 0))
-    _, lap, spec = apps._spectrum_of(h, cfg.s)
+    g, lap, spec = apps._spectrum_of(h, cfg.s)
     if cfg.dump_path:
-        _atomic_write(cfg.dump_path, lambda fh: dump_matrix(lap.matrix, fh), "--dump-matrix")
+        _atomic_write(cfg.dump_path, lambda fh: dump_matrix(lap, fh), "--dump-matrix")
     if cfg.use_complete:
         pairs = complete_spectrum(cfg.n, cfg.r, cfg.s)
         closed = np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
@@ -194,7 +194,7 @@ def _run_spectrum(cfg: ExperimentConfig):
             "dim": spec.dim,
             "max_abs_error": err,
             "tolerance": cfg.tol,
-            "excluded": int(lap.excluded.size),
+            "excluded": g.dim - g.kept.size,
         }
         return records, summary, err <= cfg.tol
     records = [{"k": i, "value": float(v)} for i, v in enumerate(spec.values)]
@@ -202,7 +202,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         "dim": spec.dim,
         "edges": h.num_edges,
         "trivial_count": spec.trivial_count,
-        "excluded": int(lap.excluded.size),
+        "excluded": g.dim - g.kept.size,
     }
     if spec.dim >= 2 and spec.trivial_count == 1:
         summary["lambda1"] = spec.lambda1

@@ -109,7 +109,7 @@ def as_sset(vertices: Iterable[int], n: int) -> SSet:
 
 def sset_rank(vertices: Iterable[int], n: int) -> int:
     """Colex rank of an s-set among all s-subsets of range(n)."""
-    vs = as_sset(vertices, n)
+    vs = as_sset(vertices, _int_at_least(n, "n", -math.inf))
     return sum(math.comb(v, i + 1) for i, v in enumerate(vs))
 
 
@@ -162,9 +162,11 @@ def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
     """Bulk inverse of subset_ranks: one increasing row of vertex ids in
-    range(n) per colex rank in idx."""
+    range(n) per colex rank in idx; a largest rank past C(n, s) is BadRank."""
     rem = np.array(idx, dtype=np.int64)
-    tab = _comb_table(n, s)
+    # the table spans range(w), w the top vertex of the largest rank plus one,
+    # as in subset_ranks: every rank up to it is below C(w, s), so no row changes
+    tab = _comb_table(sset_unrank(int(rem.max()), n, s)[-1] + 1 if rem.size else 0, s)
     out = np.empty((len(rem), s), dtype=np.int64)
     for i in range(s, 0, -1):  # the largest v with C(v, i) <= rem
         out[:, i - 1] = np.searchsorted(tab[i], rem, side="right") - 1
@@ -174,6 +176,7 @@ def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def ssets_colex(n: int, s: int) -> Iterator[SSet]:
     """All s-subsets of range(n) in colex order (rank order)."""
+    n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
     return map(tuple, colex_unrank(np.arange(binom(n, s)), n, s).tolist())
 
 
@@ -206,6 +209,7 @@ def kneser_adjacency(n: int, s: int) -> np.ndarray:
     Vertices are the C(n,s) s-sets, adjacent iff disjoint.  Defined for
     any n >= s >= 1 (all-zero when n < 2s).
     """
+    n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
     if s < 1 or n < s:
         raise BadParams(f"need 1 <= s <= n, got s={s}, n={n}")
     sets = colex_unrank(np.arange(math.comb(n, s)), n, s)
@@ -228,6 +232,7 @@ def kneser_spectrum(n: int, s: int) -> list[EigenPair]:
     Eigenvalue (-1)^i C(n-s-i, s-i) with multiplicity C(n,i) - C(n,i-1),
     for i = 0..s.  Multiplicities sum to C(n,s).
     """
+    n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
     if s < 1:
         raise BadParams(f"need s >= 1, got {s}")
     if n < 2 * s:

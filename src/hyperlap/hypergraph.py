@@ -162,6 +162,7 @@ class RandomModel:
 
 def expected_stop_degree(n: int, r: int, s: int, p: float) -> float:
     """Expected number of edges through a fixed s-set: C(n-s, r-s) p."""
+    n, r, s = (_int_at_least(x, name, -math.inf) for x, name in zip((n, r, s), "nrs"))
     if s < 1 or s > r:
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={r}")
     return _to_float(binom(n - s, r - s), f"C({n - s}, {r - s})") * p
@@ -197,6 +198,7 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
 def degree_stats(h: Hypergraph, s: int) -> np.ndarray:
     """The int64 vector of the degrees of the s-sets of range(n), in colex
     order: entry a counts the edges through the s-set of colex rank a."""
+    s = _int_at_least(s, "s", -math.inf)
     if s < 1 or s > h.r:
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={h.r}")
     if s > h.n:

@@ -3,22 +3,25 @@
 The auxiliary graph of a hypergraph puts weight W(S,T) = number of edges
 containing S u T on every pair of disjoint s-sets S, T (zero otherwise).
 Its weighted degree is C(r-s,s) d_S, with d_S the number of edges through
-S, so the normalized Laplacian I - D^{-1/2} W D^{-1/2} restricted to
-positive-degree s-sets captures the s-th spectral structure of the
-hypergraph.  All matrices are dense; s-sets are indexed in colex order.
+S, so the normalized Laplacian I - D^{-1/2} W D^{-1/2} restricted to the
+positive-degree s-sets (the live stops, AuxGraph.kept) captures the s-th
+spectral structure of the hypergraph; normalized_laplacian returns it as
+a plain SymMatrix on those stops.  All matrices are dense; s-sets are
+indexed in colex order.
 The colex ranks and the disjointness rule come from combin (subset_ranks
 and _disjoint_columns); this module only counts with them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
 from .combin import (EigenPair, _check_loose, _check_probability, _disjoint_columns,
-                     _kneser_terms, binom, kneser_adjacency, subset_ranks)
+                     _int_at_least, _kneser_terms, binom, kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph, _ints
 
@@ -53,6 +56,9 @@ class AuxGraph:
 
     weights[a, b] is the codegree of the disjoint s-sets of colex ranks a
     and b; stop_degrees[a] is the hypergraph degree of the a-th s-set.
+    The live stops are the s-sets of positive degree; kept lists their
+    ranks, and the Laplacian, the random walk and the hop distances live
+    on them.
     """
 
     n: int
@@ -64,6 +70,11 @@ class AuxGraph:
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Colex ranks of the live stops, the positive-degree s-sets, in order."""
+        return np.flatnonzero(self.stop_degrees > 0)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -96,25 +107,12 @@ def build_aux(h: Hypergraph, s: int) -> AuxGraph:
     return AuxGraph(h.n, h.r, s, weights, degrees)
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Normalized Laplacian of an auxiliary graph, restricted to the
-    positive-degree s-sets (colex ranks in `kept`)."""
-
-    matrix: SymMatrix
-    kept: np.ndarray = field(repr=False)
-    excluded: np.ndarray = field(repr=False)
-
-
-def normalized_laplacian(g: AuxGraph) -> Laplacian:
-    """I - D^{-1/2} W D^{-1/2} on the positive-degree part of the aux graph."""
-    pos = g.stop_degrees > 0
-    kept = np.flatnonzero(pos)
-    excluded = np.flatnonzero(~pos)
+def normalized_laplacian(g: AuxGraph) -> SymMatrix:
+    """I - D^{-1/2} W D^{-1/2} on the live stops g.kept, in their order."""
+    kept = g.kept
     w = g.weights[np.ix_(kept, kept)].astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(g.degrees[kept].astype(np.float64))
-    lap = np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt)
-    return Laplacian(SymMatrix(lap), kept, excluded)
+    return SymMatrix(np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt))
 
 
 def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
@@ -124,6 +122,7 @@ def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
     its multiplicity, returned ascending by value.  Multiplicities sum to
     C(n,s).
     """
+    n = _int_at_least(n, "n", -math.inf)
     _check_loose(r, s)
     if n < r:
         raise BadParams(f"complete hypergraph needs n >= r, got n={n}, r={r}")

@@ -69,7 +69,7 @@ def test_01_complete_laplacian_closed_form():
     worst = 0.0
     for n, r, s in ((8, 2, 1), (9, 3, 1), (10, 4, 2), (9, 4, 2)):
         want = _expand((ep.value, ep.multiplicity) for ep in complete_spectrum(n, r, s))
-        got = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)).matrix)
+        got = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)))
         worst = max(worst, float(np.abs(got.values - want).max()))
     elapsed = time.perf_counter() - t0
     _line(1, worst <= 1e-9 and elapsed < 30.0,
@@ -166,11 +166,11 @@ def test_06_random_radius_bound():
     n, r, s, p = RADIUS_MODEL
     dev_bound = 3.5 * math.sqrt((1 - p) / (binom(n - s, r - s) * p))
     rad_bound = s / (n - s) + dev_bound
-    ref = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)).matrix)
+    ref = eigenvalues_sym(normalized_laplacian(build_aux(complete(n, r), s)))
     rad_ok = dev_ok = 0
     for seed in range(50):
         h = sample(RandomModel(n, r, p, seed))
-        spec = eigenvalues_sym(normalized_laplacian(build_aux(h, s)).matrix)
+        spec = eigenvalues_sym(normalized_laplacian(build_aux(h, s)))
         if spectral_radius(spec) <= rad_bound:
             rad_ok += 1
         if deviation(spec, ref) <= dev_bound:
@@ -182,13 +182,13 @@ def test_06_random_radius_bound():
 
 def test_07_eigenvalue_shift_vs_difference_norm():
     n, r, s, p = RADIUS_MODEL
-    ref_mat = normalized_laplacian(build_aux(complete(n, r), s)).matrix.entries
+    ref_mat = normalized_laplacian(build_aux(complete(n, r), s)).entries
     ref = eigenvalues_sym(ref_mat)
     bad = 0
     worst = -math.inf
     for seed in range(100):
         lap = normalized_laplacian(build_aux(sample(RandomModel(n, r, p, seed)), s))
-        mat = lap.matrix.entries
+        mat = lap.entries
         gap = deviation(eigenvalues_sym(mat), ref) - spectral_norm(mat - ref_mat)
         worst = max(worst, gap)
         if gap > 1e-9:
@@ -221,7 +221,7 @@ def test_09_mixing_and_diameter():
     for idx, (h, ss) in enumerate(fixtures + seeded):
         g = build_aux(h, ss)
         assert is_connected(g)
-        spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+        spec = eigenvalues_sym(normalized_laplacian(g))
         lam = spectral_radius(spec)
         if not mixing_contraction(transition_system(g), lam, steps=3).holds:
             mix_bad += 1

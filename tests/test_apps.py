@@ -39,7 +39,7 @@ import hyperlap.combin as combin
 
 
 def _spec_of(h, s):
-    return eigenvalues_sym(normalized_laplacian(build_aux(h, s)).matrix)
+    return eigenvalues_sym(normalized_laplacian(build_aux(h, s)))
 
 
 TWO_TRIANGLES = hypergraph(5, 3, [[0, 1, 2], [2, 3, 4]])  # aux at s=1: bowtie
@@ -106,9 +106,11 @@ def test_diameter_of_a_path(n):
 
 def test_diameter_of_one_kept_stop():
     lone = AuxGraph(3, 2, 1, np.zeros((3, 3), dtype=np.int64), np.array([0, 2, 0]))
+    assert lone.kept.tolist() == [1]
     assert s_diameter(lone) == 0
     assert not is_connected(lone)
     only = AuxGraph(1, 2, 1, np.zeros((1, 1), dtype=np.int64), np.array([1]))
+    assert only.kept.tolist() == [0]
     assert s_diameter(only) == 0
     assert is_connected(only)
 
@@ -141,7 +143,7 @@ def test_mixing_random_connected():
     for seed in range(5):
         h = sample(RandomModel(12, 3, 0.5, seed))
         g = build_aux(h, 1)
-        spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+        spec = eigenvalues_sym(normalized_laplacian(g))
         lam = spectral_radius(spec)
         rep = mixing_contraction(transition_system(g), lam, steps=2)
         assert rep.holds, f"seed {seed}: factors {rep.factors} vs {lam}"
@@ -177,7 +179,7 @@ def test_diameter_bound_random():
         if not is_connected(g):
             continue
         hits += 1
-        spec = eigenvalues_sym(normalized_laplacian(g).matrix)
+        spec = eigenvalues_sym(normalized_laplacian(g))
         bound = diameter_bound(spec, g)
         assert s_diameter(g) <= bound
         # the same bound with |E| C(r,s) and the least s-set degree read off h

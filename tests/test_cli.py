@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperlap import (RandomModel, binom, build_aux, complete, load_matrix,
+from hyperlap import (RandomModel, binom, build_aux, complete, hypergraph, load_matrix,
                       normalized_laplacian, read_hypergraph, sample,
                       write_hypergraph)
 import hyperlap.cli as cli
@@ -200,7 +200,7 @@ def test_dump_matrix_sampled_and_input(tmp_path):
         assert code == 0
         with open(dump) as fh:
             m = load_matrix(fh)
-        want = normalized_laplacian(build_aux(h, 1)).matrix.entries
+        want = normalized_laplacian(build_aux(h, 1)).entries
         assert m.dim > 0
         assert np.array_equal(m.entries, want)
 
@@ -215,6 +215,20 @@ def test_input_fixture(tmp_path, capsys):
     assert code == 0
     assert doc["summary"]["dim"] == 7
     assert doc["summary"]["lambda_bar"] == pytest.approx(1 / 6)
+
+
+def test_spectrum_counts_zero_degree_stops_as_excluded(tmp_path, capsys):
+    """Vertices 4 and 5 lie on no edge: the Laplacian lives on the other four
+    stops, which form K_4, and the summary counts the two left out."""
+    path = tmp_path / "h.txt"
+    with open(path, "w") as fh:
+        write_hypergraph(hypergraph(6, 4, [[0, 1, 2, 3]]), fh)
+    code, doc = _run(["spectrum", "--input", str(path), "--n", "6", "--r", "4",
+                      "--s", "1"], capsys)
+    assert code == 0
+    assert doc["summary"]["dim"] == 4
+    assert doc["summary"]["excluded"] == 2
+    assert doc["summary"]["lambda_bar"] == pytest.approx(1 / 3)
 
 
 def test_trials_rejected_for_complete(capsys):

@@ -21,12 +21,14 @@ from hyperlap import (
     complete,
     complete_spectrum,
     edge_expansion,
+    ekr_bound,
     kneser_adjacency,
     kneser_spectrum,
     sset_rank,
     sset_unrank,
     ssets_colex,
 )
+import hyperlap.combin as combin
 from hyperlap.combin import colex_unrank, subset_ranks
 
 
@@ -105,6 +107,52 @@ def test_unrank_takes_numpy_integers():
 def test_stop_sizes_must_be_integers(call, message):
     with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sset_rank((0, 3), 5.5), "n must be an integer, got 5.5"),
+    (lambda: kneser_adjacency(5.0, 2), "n must be an integer, got 5.0"),
+    (lambda: kneser_adjacency(5, 2.0), "s must be an integer, got 2.0"),
+    (lambda: kneser_spectrum(6.0, 2), "n must be an integer, got 6.0"),
+    (lambda: ekr_bound(6.5, 2), "n must be an integer, got 6.5"),
+    (lambda: ekr_bound(3.5, 2), "n must be an integer, got 3.5"),
+    (lambda: complete_spectrum(10.0, 4, 2), "n must be an integer, got 10.0"),
+    (lambda: ssets_colex(5.0, 2), "n must be an integer, got 5.0"),
+], ids=["sset_rank", "kneser_adjacency_n", "kneser_adjacency_s", "kneser_spectrum",
+        "ekr_bound", "ekr_bound_below_2s", "complete_spectrum", "ssets_colex"])
+def test_set_sizes_must_be_integers(call, message):
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_kneser_checks_keep_their_order_for_integers():
+    with pytest.raises(DegenerateKneser, match=r"^K\(3,2\) needs n >= 2s$"):
+        kneser_spectrum(np.int64(3), 2)
+    with pytest.raises(DegenerateKneser, match=r"^need n >= 2s >= 2, got n=3, s=2$"):
+        ekr_bound(np.int64(3), np.int64(2))
+    with pytest.raises(BadParams, match=r"^need 1 <= s <= n, got s=3, n=2$"):
+        kneser_adjacency(np.int32(2), 3)
+    assert kneser_adjacency(np.int64(5), np.int64(2)).sum() == 30
+    assert sset_rank((0, 3), np.int64(5)) == 3
+
+
+def test_colex_unrank_spans_only_the_largest_rank(monkeypatch):
+    """Rank 5 is (2, 3), so range(4) holds every row: a table over
+    range(10**6) would be two million Python ints."""
+    table = combin._comb_table
+
+    def narrow(n, s):
+        if n > 4:
+            raise AssertionError(f"Pascal table spans range({n})")
+        return table(n, s)
+
+    monkeypatch.setattr(combin, "_comb_table", narrow)
+    assert colex_unrank(np.array([0, 5]), 10**6, 2).tolist() == [[0, 1], [2, 3]]
+
+
+def test_colex_unrank_refuses_a_rank_past_the_range():
+    with pytest.raises(BadRank, match=r"^rank 10 outside \[0, 10\)$"):
+        colex_unrank(np.array([0, 10]), 5, 2)
 
 
 def test_loose_check_keeps_its_order_for_integers():

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,18 @@ def test_expected_stop_degree():
 def test_expected_stop_degree_past_the_float_range():
     with pytest.raises(TooLarge, match=r"C\(999999, 99\) exceeds the float range"):
         expected_stop_degree(10**6, 100, 1, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expected_stop_degree(10.0, 4, 2, 0.5), "n must be an integer, got 10.0"),
+    (lambda: expected_stop_degree(10, 4.0, 2, 0.5), "r must be an integer, got 4.0"),
+    (lambda: expected_stop_degree(10, 4, 2.0, 0.5), "s must be an integer, got 2.0"),
+    (lambda: degree_stats(complete(5, 3), 1.0), "s must be an integer, got 1.0"),
+], ids=["expected_stop_degree_n", "expected_stop_degree_r", "expected_stop_degree_s",
+        "degree_stats"])
+def test_degree_sizes_must_be_integers(call, message):
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_degree_stats_complete():

@@ -118,22 +118,23 @@ def test_aux_and_degrees_match_definitions(data):
 def test_laplacian_complete_graph():
     # complete(n,2) at s=1 is the complete graph: eigenvalues 0, n/(n-1) x (n-1)
     lap = normalized_laplacian(build_aux(complete(7, 2), 1))
-    spec = eigenvalues_sym(lap.matrix)
+    spec = eigenvalues_sym(lap)
     want = np.sort(np.concatenate([[0.0], np.full(6, 7 / 6)]))
     assert np.max(np.abs(spec.values - want)) < 1e-12
 
 
 def test_laplacian_excludes_zero_degree():
-    lap = normalized_laplacian(build_aux(hypergraph(6, 4, [[0, 1, 2, 3]]), 1))
-    assert lap.matrix.dim == 4
-    assert lap.excluded.tolist() == [4, 5]
-    assert lap.kept.tolist() == [0, 1, 2, 3]
+    g = build_aux(hypergraph(6, 4, [[0, 1, 2, 3]]), 1)
+    assert normalized_laplacian(g).dim == 4
+    assert g.kept.tolist() == [0, 1, 2, 3]
+    assert g.dim == 6
 
 
 def test_laplacian_empty_hypergraph():
-    lap = normalized_laplacian(build_aux(hypergraph(5, 2, []), 1))
-    assert lap.matrix.dim == 0
-    assert lap.excluded.size == 5
+    g = build_aux(hypergraph(5, 2, []), 1)
+    assert normalized_laplacian(g).dim == 0
+    assert g.kept.size == 0
+    assert g.dim == 5
 
 
 def test_laplacian_is_kneser_for_complete():
@@ -141,14 +142,14 @@ def test_laplacian_is_kneser_for_complete():
     n, r, s = 10, 4, 2
     lap = normalized_laplacian(build_aux(complete(n, r), s))
     want = np.eye(binom(n, s)) - kneser_adjacency(n, s) / binom(n - s, s)
-    assert np.max(np.abs(lap.matrix.entries - want)) < 1e-12
+    assert np.max(np.abs(lap.entries - want)) < 1e-12
 
 
 def test_laplacian_diagonal_and_range():
     h = sample(RandomModel(9, 3, 0.4, 11))
     lap = normalized_laplacian(build_aux(h, 1))
-    assert np.allclose(np.diag(lap.matrix.entries), 1.0)
-    spec = eigenvalues_sym(lap.matrix)
+    assert np.allclose(np.diag(lap.entries), 1.0)
+    spec = eigenvalues_sym(lap)
     assert spec.values[0] > -1e-9
     assert spec.values[-1] < 2 + 1e-9
 
@@ -159,9 +160,9 @@ def test_harmonic_vector_in_kernel():
         h = sample(RandomModel(10, 3, 0.5, seed))
         g = build_aux(h, 1)
         lap = normalized_laplacian(g)
-        deg = g.degrees[lap.kept].astype(float)
+        deg = g.degrees[g.kept].astype(float)
         phi = np.sqrt(deg / deg.sum())
-        assert np.max(np.abs(lap.matrix.entries @ phi)) < 1e-9
+        assert np.max(np.abs(lap.entries @ phi)) < 1e-9
 
 
 COMPLETE_CASES = {
@@ -192,7 +193,7 @@ def test_complete_spectrum_matches_solver(key):
         np.repeat([e.value for e in pairs], [e.multiplicity for e in pairs])
     )
     lap = normalized_laplacian(build_aux(complete(n, r), s))
-    spec = eigenvalues_sym(lap.matrix)
+    spec = eigenvalues_sym(lap)
     assert spec.dim == binom(n, s)
     assert np.max(np.abs(closed - spec.values)) < 1e-9
 
@@ -234,10 +235,10 @@ def test_dump_load_roundtrip():
     h = sample(RandomModel(8, 3, 0.5, 2))
     lap = normalized_laplacian(build_aux(h, 1))
     buf = io.StringIO()
-    dump_matrix(lap.matrix, buf)
+    dump_matrix(lap, buf)
     buf.seek(0)
     back = load_matrix(buf)
-    assert np.array_equal(back.entries, lap.matrix.entries)
+    assert np.array_equal(back.entries, lap.entries)
 
 
 def test_load_rejects_malformed():
