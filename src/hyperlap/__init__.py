@@ -51,7 +51,6 @@ from .hypergraph import (
 )
 from .laplacian import (
     AuxGraph,
-    SymMatrix,
     build_aux,
     centered_weight,
     complete_spectrum,

@@ -22,11 +22,11 @@ from .errors import (
     ZeroDegree,
 )
 from .hypergraph import Hypergraph, expected_stop_degree
-from .laplacian import AuxGraph, SymMatrix, build_aux, normalized_laplacian
+from .laplacian import AuxGraph, build_aux, normalized_laplacian
 from .spectra import Spectrum, eigenvalues_sym, spectral_norm
 
 
-def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, SymMatrix, Spectrum]:
+def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, np.ndarray, Spectrum]:
     """The spectrum step of a trial: h's auxiliary graph at stop size s,
     its normalized Laplacian on the live stops and that matrix's spectrum."""
     g = build_aux(h, s)

@@ -64,10 +64,14 @@ def _check_probability(p) -> None:
 
 
 def binom(n: int, k: int) -> int:
-    """Exact C(n,k); 0 when k > n, error when either argument is negative."""
-    if n < 0 or k < 0:
-        raise BadParams(f"binom needs nonnegative arguments, got ({n}, {k})")
-    return math.comb(n, k)
+    """Exact C(n,k); 0 when k > n, error when either argument is negative
+    or not an integer."""
+    try:
+        if n < 0 or k < 0:
+            raise BadParams(f"binom needs nonnegative arguments, got ({n}, {k})")
+        return math.comb(n, k)
+    except TypeError:
+        raise BadParams(f"binom needs integer arguments, got ({n!r}, {k!r})") from None
 
 
 def _to_float(x: int, name: str) -> float:
@@ -81,9 +85,12 @@ def _to_float(x: int, name: str) -> float:
 
 def catalan(k: int) -> int:
     """k-th Catalan number C(2k,k)/(k+1)."""
-    if k < 0:
-        raise BadParams(f"catalan needs k >= 0, got {k}")
-    return math.comb(2 * k, k) // (k + 1)
+    try:
+        if k < 0:
+            raise BadParams(f"catalan needs k >= 0, got {k}")
+        return math.comb(2 * k, k) // (k + 1)
+    except TypeError:
+        raise BadParams(f"catalan needs an integer, got {k!r}") from None
 
 
 def as_sset(vertices: Iterable[int], n: int) -> SSet:
@@ -162,8 +169,10 @@ def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
     """Bulk inverse of subset_ranks: one increasing row of vertex ids in
-    range(n) per colex rank in idx; a largest rank past C(n, s) is BadRank."""
+    range(n) per colex rank in idx; a rank outside [0, C(n, s)) is BadRank."""
     rem = np.array(idx, dtype=np.int64)
+    if rem.size and rem.min() < 0:
+        raise BadRank(f"rank {rem.min()} outside [0, {binom(n, s)})")
     # the table spans range(w), w the top vertex of the largest rank plus one,
     # as in subset_ranks: every rank up to it is below C(w, s), so no row changes
     tab = _comb_table(sset_unrank(int(rem.max()), n, s)[-1] + 1 if rem.size else 0, s)

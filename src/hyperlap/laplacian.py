@@ -6,8 +6,8 @@ Its weighted degree is C(r-s,s) d_S, with d_S the number of edges through
 S, so the normalized Laplacian I - D^{-1/2} W D^{-1/2} restricted to the
 positive-degree s-sets (the live stops, AuxGraph.kept) captures the s-th
 spectral structure of the hypergraph; normalized_laplacian returns it as
-a plain SymMatrix on those stops.  All matrices are dense; s-sets are
-indexed in colex order.
+a plain float64 array on those stops.  All matrices are dense; s-sets
+are indexed in colex order.
 The colex ranks and the disjointness rule come from combin (subset_ranks
 and _disjoint_columns); this module only counts with them.
 """
@@ -24,30 +24,9 @@ from .combin import (EigenPair, _check_loose, _check_probability, _disjoint_colu
                      _int_at_least, _kneser_terms, binom, kneser_adjacency, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph, _ints
+from .spectra import _as_array
 
 MAX_DENSE_DIM = 2048
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """A dense real symmetric matrix."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-        # before symmetry: NaN != NaN would read as an asymmetric entry
-        if not np.isfinite(a).all():
-            raise BadParams("matrix has non-finite entries")
-        if not np.array_equal(a, a.T):
-            raise DimMismatch("matrix is not symmetric")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,12 +86,12 @@ def build_aux(h: Hypergraph, s: int) -> AuxGraph:
     return AuxGraph(h.n, h.r, s, weights, degrees)
 
 
-def normalized_laplacian(g: AuxGraph) -> SymMatrix:
+def normalized_laplacian(g: AuxGraph) -> np.ndarray:
     """I - D^{-1/2} W D^{-1/2} on the live stops g.kept, in their order."""
     kept = g.kept
     w = g.weights[np.ix_(kept, kept)].astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(g.degrees[kept].astype(np.float64))
-    return SymMatrix(np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt))
+    return np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt)
 
 
 def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
@@ -131,29 +110,32 @@ def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
     return sorted(pairs, key=lambda pr: pr.value)
 
 
-def centered_weight(g: AuxGraph, p: float) -> SymMatrix:
+def centered_weight(g: AuxGraph, p: float) -> np.ndarray:
     """The weights of the auxiliary graph g minus their Bernoulli(p)
     expectation C(n-2s, r-2s) p K, with K the Kneser adjacency on s-sets."""
     _check_probability(p)
     c = g.weights.astype(np.float64)
     if g.n >= 2 * g.s:
         c -= binom(g.n - 2 * g.s, g.r - 2 * g.s) * p * kneser_adjacency(g.n, g.s)
-    return SymMatrix(c)
+    return c
 
 
-def dump_matrix(m: SymMatrix, fh: IO[str]) -> None:
+def dump_matrix(m: np.ndarray, fh: IO[str]) -> None:
     """Write dim header, then one lower-triangle row per line.
 
-    Entries are shortest round-trip float reprs, so load_matrix recovers
-    the matrix exactly.
+    m must pass the symmetric-matrix check of the eigensolver: a matrix
+    within 1e-10 of symmetric is written by its lower triangle, which is
+    all that eigvalsh reads.  Entries are shortest round-trip float reprs,
+    so load_matrix recovers the triangle exactly, and an exactly symmetric
+    matrix in full.
     """
-    fh.write(f"{m.dim}\n")
-    a = m.entries
-    for i in range(m.dim):
+    a = _as_array(m)
+    fh.write(f"{len(a)}\n")
+    for i in range(len(a)):
         fh.write(" ".join(repr(float(x)) for x in a[i, : i + 1]) + "\n")
 
 
-def load_matrix(fh: IO[str]) -> SymMatrix:
+def load_matrix(fh: IO[str]) -> np.ndarray:
     """Parse the format written by dump_matrix; only blank lines may
     follow the last row."""
     header = fh.readline().split()
@@ -178,4 +160,4 @@ def load_matrix(fh: IO[str]) -> SymMatrix:
     for lineno, line in enumerate(fh, start=dim + 2):
         if line.strip():
             raise DimMismatch(f"line {lineno} holds data after the last row")
-    return SymMatrix(a)
+    return _as_array(a)

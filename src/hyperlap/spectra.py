@@ -22,7 +22,6 @@ from .errors import (
     EigenFail,
     EmptySample,
 )
-from .laplacian import SymMatrix
 
 ZERO_TOL = 1e-8
 
@@ -71,13 +70,23 @@ class Spectrum:
         return max(1.0 - self.lambda1, self.lambda_max - 1.0)
 
 
-def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
-    a = np.asarray(m, dtype=np.float64)
+def _as_array(m) -> np.ndarray:
+    """m as a float64 array, held to the one rule for a symmetric matrix.
+
+    Every solver, dump and load of a matrix goes through this check: m must
+    hold real numbers (bool reads as 0/1), be square, be finite and lie
+    within 1e-10 of its transpose.  A float64 array is not copied.
+    """
+    try:
+        a = np.asarray(m)
+    except ValueError as exc:  # ragged rows
+        raise BadParams(f"matrix is not a rectangular array: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise BadParams(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    # as in SymMatrix: NaN fails the symmetry test, so check finiteness first
+    # NaN fails the symmetry test, so check finiteness first
     if not np.isfinite(a).all():
         raise BadParams("matrix has non-finite entries")
     if not (np.abs(a - a.T) <= 1e-10).all():
@@ -85,7 +94,7 @@ def _as_array(m: SymMatrix | np.ndarray) -> np.ndarray:
     return a
 
 
-def eigenvalues_sym(m: SymMatrix | np.ndarray) -> Spectrum:
+def eigenvalues_sym(m: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, ascending."""
     a = _as_array(m)
     if a.size == 0:
@@ -110,7 +119,7 @@ def spectral_radius(spec: Spectrum) -> float:
     return spec.lambda_bar
 
 
-def spectral_norm(m: SymMatrix | np.ndarray) -> float:
+def spectral_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     vals = eigenvalues_sym(m).values
     if vals.size == 0:

@@ -182,13 +182,12 @@ def test_06_random_radius_bound():
 
 def test_07_eigenvalue_shift_vs_difference_norm():
     n, r, s, p = RADIUS_MODEL
-    ref_mat = normalized_laplacian(build_aux(complete(n, r), s)).entries
+    ref_mat = normalized_laplacian(build_aux(complete(n, r), s))
     ref = eigenvalues_sym(ref_mat)
     bad = 0
     worst = -math.inf
     for seed in range(100):
-        lap = normalized_laplacian(build_aux(sample(RandomModel(n, r, p, seed)), s))
-        mat = lap.entries
+        mat = normalized_laplacian(build_aux(sample(RandomModel(n, r, p, seed)), s))
         gap = deviation(eigenvalues_sym(mat), ref) - spectral_norm(mat - ref_mat)
         worst = max(worst, gap)
         if gap > 1e-9:

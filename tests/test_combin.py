@@ -49,6 +49,28 @@ def test_catalan_small():
     assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
 
 
+@pytest.mark.parametrize("args, match", [
+    ((5.5, 2), r"^binom needs integer arguments, got \(5\.5, 2\)$"),
+    ((5, 2.0), r"^binom needs integer arguments, got \(5, 2\.0\)$"),
+    (("5", 2), r"^binom needs integer arguments, got \('5', 2\)$"),
+])
+def test_binom_refuses_non_integers(args, match):
+    with pytest.raises(BadParams, match=match):
+        binom(*args)
+
+
+def test_catalan_refuses_non_integers_and_negatives():
+    with pytest.raises(BadParams, match=r"^catalan needs an integer, got 2\.5$"):
+        catalan(2.5)
+    with pytest.raises(BadParams, match=r"^catalan needs k >= 0, got -1$"):
+        catalan(-1)
+
+
+def test_binom_and_catalan_take_numpy_integers():
+    assert binom(np.int64(10), np.int32(4)) == 210
+    assert catalan(np.int64(5)) == 42
+
+
 def test_as_sset_sorts_and_validates():
     assert as_sset([3, 0, 2], 5) == (0, 2, 3)
     with pytest.raises(BadVertex):
@@ -153,6 +175,14 @@ def test_colex_unrank_spans_only_the_largest_rank(monkeypatch):
 def test_colex_unrank_refuses_a_rank_past_the_range():
     with pytest.raises(BadRank, match=r"^rank 10 outside \[0, 10\)$"):
         colex_unrank(np.array([0, 10]), 5, 2)
+
+
+@pytest.mark.parametrize("idx", [[-1, 3], [-7]])
+def test_colex_unrank_refuses_a_negative_rank(idx):
+    """Every rank is checked, not only the largest: -1 below rank 3 would
+    decode to the row [-1, -1]."""
+    with pytest.raises(BadRank, match=rf"^rank {min(idx)} outside \[0, 10\)$"):
+        colex_unrank(np.array(idx), 5, 2)
 
 
 def test_loose_check_keeps_its_order_for_integers():

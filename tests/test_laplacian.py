@@ -125,14 +125,14 @@ def test_laplacian_complete_graph():
 
 def test_laplacian_excludes_zero_degree():
     g = build_aux(hypergraph(6, 4, [[0, 1, 2, 3]]), 1)
-    assert normalized_laplacian(g).dim == 4
+    assert len(normalized_laplacian(g)) == 4
     assert g.kept.tolist() == [0, 1, 2, 3]
     assert g.dim == 6
 
 
 def test_laplacian_empty_hypergraph():
     g = build_aux(hypergraph(5, 2, []), 1)
-    assert normalized_laplacian(g).dim == 0
+    assert len(normalized_laplacian(g)) == 0
     assert g.kept.size == 0
     assert g.dim == 5
 
@@ -142,13 +142,13 @@ def test_laplacian_is_kneser_for_complete():
     n, r, s = 10, 4, 2
     lap = normalized_laplacian(build_aux(complete(n, r), s))
     want = np.eye(binom(n, s)) - kneser_adjacency(n, s) / binom(n - s, s)
-    assert np.max(np.abs(lap.entries - want)) < 1e-12
+    assert np.max(np.abs(lap - want)) < 1e-12
 
 
 def test_laplacian_diagonal_and_range():
     h = sample(RandomModel(9, 3, 0.4, 11))
     lap = normalized_laplacian(build_aux(h, 1))
-    assert np.allclose(np.diag(lap.entries), 1.0)
+    assert np.allclose(np.diag(lap), 1.0)
     spec = eigenvalues_sym(lap)
     assert spec.values[0] > -1e-9
     assert spec.values[-1] < 2 + 1e-9
@@ -162,7 +162,7 @@ def test_harmonic_vector_in_kernel():
         lap = normalized_laplacian(g)
         deg = g.degrees[g.kept].astype(float)
         phi = np.sqrt(deg / deg.sum())
-        assert np.max(np.abs(lap.entries @ phi)) < 1e-9
+        assert np.max(np.abs(lap @ phi)) < 1e-9
 
 
 COMPLETE_CASES = {
@@ -213,9 +213,9 @@ def test_centered_weight_complete_and_empty():
     k = kneser_adjacency(n, s)
     coef = binom(n - 2 * s, r - 2 * s)
     full = centered_weight(build_aux(complete(n, r), s), p)
-    assert np.max(np.abs(full.entries - coef * (1 - p) * k)) < 1e-12
+    assert np.max(np.abs(full - coef * (1 - p) * k)) < 1e-12
     empty = centered_weight(build_aux(hypergraph(n, r, []), s), p)
-    assert np.max(np.abs(empty.entries + coef * p * k)) < 1e-12
+    assert np.max(np.abs(empty + coef * p * k)) < 1e-12
 
 
 def test_centered_weight_mean_is_zero():
@@ -224,7 +224,7 @@ def test_centered_weight_mean_is_zero():
     coef = binom(n - 2, r - 2)
     acc = np.zeros((n, n))
     for seed in range(trials):
-        acc += centered_weight(build_aux(sample(RandomModel(n, r, p, seed)), s), p).entries
+        acc += centered_weight(build_aux(sample(RandomModel(n, r, p, seed)), s), p)
     acc /= trials
     sigma = np.sqrt(coef * p * (1 - p) / trials)  # variance bound per entry
     mask = 1 - np.eye(n)
@@ -238,7 +238,34 @@ def test_dump_load_roundtrip():
     dump_matrix(lap, buf)
     buf.seek(0)
     back = load_matrix(buf)
-    assert np.array_equal(back.entries, lap.entries)
+    assert np.array_equal(back, lap)
+
+
+@pytest.mark.parametrize("h, s", [
+    (complete(10, 4), 1),
+    (complete(10, 4), 2),
+    (sample(RandomModel(9, 3, 0.4, 11)), 1),
+    (hypergraph(6, 4, [[0, 1, 2, 3]]), 1),
+], ids=["complete-s1", "complete-s2", "sampled", "lone-edge"])
+def test_matrices_are_exactly_symmetric_float64(h, s):
+    """The library's own matrices are symmetric to the bit, not only to the
+    solver's 1e-10 tolerance, so dump_matrix loses nothing by its triangle."""
+    g = build_aux(h, s)
+    for m in (normalized_laplacian(g), centered_weight(g, 0.4)):
+        assert m.dtype == np.float64
+        assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("m, exc, match", [
+    (np.zeros((2, 3)), DimMismatch, r"^expected a square matrix, got shape \(2, 3\)$"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), BadParams, "^matrix has non-finite entries$"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), DimMismatch, "^matrix is not symmetric$"),
+    (np.array([[0, 1j], [-1j, 0]]), BadParams, "got dtype complex128"),
+], ids=["non-square", "nan", "asymmetric", "complex"])
+def test_dump_refuses_what_the_solver_refuses(m, exc, match):
+    for check in (eigenvalues_sym, lambda a: dump_matrix(a, io.StringIO())):
+        with pytest.raises(exc, match=match):
+            check(m)
 
 
 def test_load_rejects_malformed():
@@ -264,4 +291,4 @@ def test_load_rejects_bad_tokens(text, match):
 
 def test_load_accepts_trailing_blank_lines():
     m = load_matrix(io.StringIO("2\n1\n0 1\n\n  \n"))
-    assert np.array_equal(m.entries, np.eye(2))
+    assert np.array_equal(m, np.eye(2))

@@ -28,7 +28,7 @@ from hyperlap import (
     spectral_norm,
     spectral_radius,
 )
-from hyperlap.spectra import ZERO_TOL
+from hyperlap.spectra import ZERO_TOL, _as_array
 
 
 def test_eigenvalues_tiny():
@@ -54,9 +54,34 @@ def test_eigenvalues_rejects_asymmetric():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("solve", [eigenvalues_sym, spectral_norm])
 def test_bare_array_rejects_non_finite(solve, bad):
-    """A bare array is held to SymMatrix's rule, not solved into nan."""
+    """A non-finite matrix is refused by the symmetric-matrix check, not
+    solved into nan."""
     with pytest.raises(BadParams, match="non-finite"):
         solve(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("m, match", [
+    (np.array([[0, 1j], [-1j, 0]]), "got dtype complex128"),
+    ([["0", "1"], ["1", "0"]], "got dtype <U1"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=object), "got dtype object"),
+    ([[0, 1], [1]], "not a rectangular array"),
+], ids=["complex", "str", "object", "ragged"])
+def test_eigenvalues_refuse_non_real_matrices(m, match):
+    """A Hermitian matrix would lose its imaginary part (eigenvalues 0, 0
+    in place of -1, 1); strings and ragged rows are not matrices."""
+    with pytest.raises(BadParams, match=match):
+        eigenvalues_sym(m)
+
+
+def test_eigenvalues_take_bool_and_int_matrices():
+    adj = [[False, True], [True, False]]
+    assert eigenvalues_sym(np.array(adj)).values.tolist() == [-1.0, 1.0]
+    assert eigenvalues_sym(np.array(adj, dtype=np.int64)).values.tolist() == [-1.0, 1.0]
+
+
+def test_symmetric_check_does_not_copy_float64():
+    a = np.eye(3)
+    assert _as_array(a) is a
 
 
 @pytest.mark.parametrize("dim", [5, 40, 400])
