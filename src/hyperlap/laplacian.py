@@ -137,13 +137,16 @@ def dump_matrix(m: np.ndarray, fh: IO[str]) -> None:
 
 def load_matrix(fh: IO[str]) -> np.ndarray:
     """Parse the format written by dump_matrix; only blank lines may
-    follow the last row."""
+    follow the last row.  A dimension past MAX_DENSE_DIM is TooLarge, as
+    for every dense matrix the library builds."""
     header = fh.readline().split()
     if len(header) != 1:
         raise DimMismatch(f"expected a lone dimension header, got {header!r}")
     (dim,) = _ints(header, "header")
     if dim < 0:
         raise DimMismatch(f"dimension must be nonnegative, got {dim}")
+    if dim > MAX_DENSE_DIM:  # refused before the dim x dim array is allocated
+        raise TooLarge(f"dimension {dim} exceeds the dense budget of {MAX_DENSE_DIM}")
     a = np.zeros((dim, dim))
     for i in range(dim):
         row = fh.readline().split()

@@ -12,12 +12,16 @@ and the search advances by (next stop rank, edge rank).  The successor
 tables are built with combin's colex-rank kernel (subset_ranks) and its
 disjoint column pattern (_disjoint_columns).
 
-The search (_raw_walks) is one depth-first loop over a stack of branch
-iterators, one iterator per step taken, so its depth is t and not
-Python's recursion limit.  With good_only it prunes a partial walk that
-has more single-occurrence edges than steps left.  Its last two steps
-branch only to stops that can still close: the closing steps back to the
-first stop a0 are a0's own steps reversed, read once per root.
+Two searches, one per job, each one depth-first loop over a stack of
+branch iterators, one iterator per step taken, so its depth is t and not
+Python's recursion limit.  The labelled search (_raw_walks) finds every
+walk from a stop a0, for enumerate_closed_walks; the canonical search
+(_canonical_walks) finds the canonical walks from stop 0, for census and
+expected_trace (below).  Both prune a partial walk that has more
+single-occurrence edges than steps left (the labelled one with good_only),
+and both take their last two steps only to stops that can still close:
+the closing steps back to the first stop a0 are a0's own steps reversed,
+read once per root.
 
 Counting without n: census and expected_trace count the good walks by
 (distinct edges i, distinct vertices j, multiplicity profile), classes
@@ -33,11 +37,22 @@ labellings by range(j) that follow it, and a canonical walk has
 C(n, j) j! injections of range(j) into range(n), so a class holds
 C(n, j) j!/(s! prod h_k! (g_k - h_k)!) walks per canonical walk:
 integers, summed before any float arithmetic, so results are the same,
-bit for bit, as a search from every stop.  A good t-walk has at most
-J = s + (t // 2)(r - s) vertices, so the search runs on m = min(n, J) of
-them.  First-met order is kept too.  The search is lexicographic in
-(stop rank, edge rank) pairs, colex ranks do not depend on n, and a
-class has a walk from stop 0, where the search from every stop starts.
+bit for bit, as a search from every stop.  The quotient is C(n, j) times
+a product of one factor per step, C(u + g, g) C(g, h) with range(u) met
+before the step, g the edge's new labels and h the entered stop's, so
+the canonical search carries the weight down its stack, step by step.
+Whether a step keeps the labelling rule depends on u alone, through one
+threshold: with range(u) met, step (b, j) keeps it exactly when u >=
+max(c_j, c_b), c the first id of the last run of consecutive ids in the
+edge or stop.  So the steps that pass, each with its u after the step
+and its factor, are indexed once per call by (stop, u, phase), the phase
+free, next to last or closing, and a stop has at most one list of
+passing steps per threshold value.  The index lives and dies with the
+call, like the tables.  A good t-walk has at most J = s + (t // 2)(r - s)
+vertices, so the search runs on m = min(n, J) of them.  First-met order
+is kept too.  The search is lexicographic in (stop rank, edge rank)
+pairs, colex ranks do not depend on n, and a class has a walk from stop
+0, where the search from every stop starts.
 Its least one is canonical, so it lies on range(j) and passes the
 filter: were F its first edge whose unmet vertices N are not the next
 labels, swapping some v of N past them with some w of them not in N
@@ -191,16 +206,11 @@ def _checked_tables(
 
 
 def _raw_walks(
-    succ: tuple, a0: int, t: int, good_only: bool, limit: int, nodes: int = 0,
-    emask: list | None = None, smask: list | None = None,
+    succ: tuple, a0: int, t: int, good_only: bool, limit: int, nodes: int = 0
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (stop ranks, edge ranks) for every closed t-walk from stop a0,
-    or, given the edge and stop bitmasks, only the canonical ones from
-    stop 0 = range(s): a step (b, j), with range(u) labelled, needs both
-    emask[j] >> u and smask[b] >> u to be of the form 2^k - 1, so that the
-    edge's unmet vertices take the next labels and the entered stop's
-    unmet ones the first of them.  Returns the state count: nodes, the
-    states visited before this search, plus its own.
+    """Yield (stop ranks, edge ranks) for every closed t-walk from stop a0.
+    Returns the state count: nodes, the states visited before this search,
+    plus its own.
 
     Depth-first search on a stack of branch iterators, one per step taken,
     so a walk of any length t needs no recursion.  Prunes on goodness when
@@ -209,15 +219,13 @@ def _raw_walks(
     are the root's checked steps (a0, b, j) reversed, which are walk steps
     too because disjointness and containment are symmetric.  More than
     limit states in all is TooLarge, whose message counts the a0 roots
-    before this one as finished, of every stop, or of one given the masks.
+    before this one as finished.
     """
     # close[b]: the steps (a0, j) from b back to a0, in j order
     close: dict[int, list] = {}
     for b, j in succ[a0]:
         close.setdefault(b, []).append((a0, j))
     near: dict[int, tuple] = {}
-    # range(used[k]): the labels met by the first k steps, stop a0's first
-    used = [0 if smask is None else smask[a0].bit_length()]
 
     def branch(a: int, st: int):
         # the steps (b, j) that step st may take from stop a
@@ -233,19 +241,16 @@ def _raw_walks(
     its = [iter(branch(a0, 1))]
     while its:
         st = len(its)
+        room = t - st  # single-occurrence edges the walk may still hold
         for b, j in its[-1]:
-            if emask is not None and ((x := emask[j] >> (u := used[-1])) & (x + 1)
-                                      or (y := smask[b] >> u) & (y + 1)):
-                continue
             c = counts.get(j, 0)
             ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
-            if good_only and (ns != 0 if st == t else ns > t - st):
+            if good_only and ns > room:
                 continue
             nodes += 1
             if nodes > limit:
-                roots = len(succ) if emask is None else 1
                 raise TooLarge(f"walk enumeration visited {limit} states, its whole "
-                               f"budget, and finished {a0} of {roots} roots")
+                               f"budget, and finished {a0} of {len(succ)} roots")
             if st == t:
                 yield tuple(stops), tuple(edges) + (j,)
                 continue
@@ -253,8 +258,6 @@ def _raw_walks(
             singles = ns
             stops.append(b)
             edges.append(j)
-            if emask is not None:
-                used.append(max(used[-1], emask[j].bit_length()))
             its.append(iter(branch(b, st + 1)))
             break
         else:
@@ -266,9 +269,107 @@ def _raw_walks(
                 if c:
                     counts[j] = c
                 singles += (c == 1) - (c == 0)
-                if emask is not None:
-                    used.pop()
     return nodes
+
+
+def _last_run(mask: int) -> int:
+    """The first id of the last run of consecutive ids in the set mask, 0
+    for the empty set."""
+    return (~mask & ((1 << mask.bit_length()) - 1)).bit_length()
+
+
+def _canonical_walks(
+    succ: tuple, t: int, limit: int, emask: list, smask: list
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """Yield (stop ranks, edge ranks, u, weight) for every canonical good
+    closed t-walk from stop 0 = range(s), in the search order of _raw_walks:
+    u is the number of labels the walk meets, and weight the product of
+    C(u + g, g) C(g, h) over its steps, u the labels met before a step, g
+    the edge's new labels and h the entered stop's (see the module
+    docstring).
+
+    A step (b, j) with range(u) labelled keeps the labelling rule exactly
+    when u >= max(c_j, c_b), c the first id of the last run of consecutive
+    ids in the edge or stop: then the edge's ids from u on are u, u + 1,
+    ..., the next labels, and the stop's the first of them.  The steps
+    that pass at (stop a, labels met u, phase) are indexed once per call,
+    the first time the search reaches that key, as (b, j, u after the
+    step, its factor) in succ's (b, j) order; the phase is free, the next
+    to last step (only to stops that can close) or the closing step.  Each
+    entry keeps apart, in the same order, its steps over edges with no
+    unmet label: where the walk can no longer afford a new edge, only those
+    are tried, since every other step opens one and fails the goodness
+    prune.  Filtered and pruned steps are never states, so the state
+    count, the budget and its TooLarge message, "finished 0 of 1 roots",
+    are those of a search that tests the rule and goodness step by step."""
+    if not succ:
+        return
+    cut_e = [_last_run(m) for m in emask]
+    cut_s = [_last_run(m) for m in smask]
+    top_e = [m.bit_length() for m in emask]
+    top_s = [m.bit_length() for m in smask]
+    # close[b]: the steps (0, j) from b back to stop 0, in j order
+    close: dict[int, list] = {}
+    for b, j in succ[0]:
+        close.setdefault(b, []).append((0, j))
+    index: dict[tuple[int, int, int], tuple[tuple, tuple]] = {}
+
+    def branch(a: int, u: int, st: int, may_open: bool) -> tuple:
+        # the canonical steps that step st may take from stop a, range(u)
+        # met; unless it may open a new edge, only those over edges with
+        # no unmet label
+        phase = 0 if st < t - 1 else 2 if st == t else 1
+        key = a, u, phase
+        steps = index.get(key)
+        if steps is None:
+            raw = (succ[a] if phase == 0 else close.get(a, ()) if phase == 2
+                   else [p for p in succ[a] if p[0] in close])
+            kept = []
+            for b, j in raw:
+                if u >= cut_e[j] and u >= cut_s[b]:
+                    g = max(top_e[j] - u, 0)
+                    h = max(top_s[b] - u, 0)
+                    kept.append((b, j, u + g, binom(u + g, g) * binom(g, h)))
+            steps = index[key] = (tuple(kept), tuple(p for p in kept if p[2] == u))
+        return steps[0] if may_open else steps[1]
+
+    nodes = 0
+    stops, edges, weights, counts, singles = [0], [], [1], {}, 0
+    its = [iter(branch(0, top_s[0], 1, t > 1))]
+    while its:
+        st = len(its)
+        room = t - st  # single-occurrence edges the walk may still hold
+        for b, j, u, f in its[-1]:
+            c = counts.get(j, 0)
+            ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
+            if ns > room:
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise TooLarge(f"walk enumeration visited {limit} states, its whole "
+                               f"budget, and finished 0 of 1 roots")
+            if st == t:
+                yield tuple(stops), tuple(edges) + (j,), u, weights[-1] * f
+                continue
+            counts[j] = c + 1
+            singles = ns
+            stops.append(b)
+            edges.append(j)
+            weights.append(weights[-1] * f)
+            # the next step may open a new edge only if the single-occurrence
+            # edges it would leave fit in the steps after it
+            its.append(iter(branch(b, u, st + 1, ns < room - 1)))
+            break
+        else:
+            its.pop()
+            if edges:
+                stops.pop()
+                weights.pop()
+                j = edges.pop()
+                c = counts.pop(j) - 1
+                if c:
+                    counts[j] = c
+                singles += (c == 1) - (c == 0)
 
 
 def _relabelling(stops: np.ndarray, edges: np.ndarray, a0: int, n: int) -> list[np.ndarray]:
@@ -428,23 +529,13 @@ def _walk_profiles(
 ) -> dict[tuple[int, int, tuple[int, ...]], int]:
     """Good closed t-walks on range(n) counted by (distinct edges, distinct
     vertices, sorted edge multiplicities), in first-met order, from the
-    canonical walks on m = min(n, J) vertices (see the module docstring).
-    Each canonical walk counts C(u, g) C(g, h) at each new edge's first
-    step, g the edge's new vertices, h those of the stop it enters and u
-    the labels met after it, and C(n, j) in all: C(n, j) j!/(s! prod h!
-    (g - h)!) walks."""
+    canonical walks on m = min(n, J) vertices (see the module docstring):
+    one sum over the canonical search, each walk counting its weight times
+    C(n, j), which is C(n, j) j!/(s! prod h! (g - h)!) walks."""
     (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget, canonical=True)
-    smask, emask = _masks(stops).tolist(), _masks(edges).tolist()
     keys: Counter = Counter()
-    for st, e in _raw_walks(succ, 0, t, True, limit, emask=emask, smask=smask) if succ else ():
-        u, ways = smask[0].bit_length(), 1  # stop 0 is range(s)
-        for k, j in enumerate(e):
-            # a new edge's block of g labels, the entered stop's h first; the
-            # last step's edge is never new, since the walk is good
-            if g := (emask[j] >> u).bit_length():
-                h = (smask[st[k + 1]] >> u).bit_length()
-                u += g
-                ways *= binom(u, g) * binom(g, h)
+    for _, e, u, ways in _canonical_walks(succ, t, limit, _masks(edges).tolist(),
+                                          _masks(stops).tolist()):
         mult = Counter(e)
         keys[len(mult), u, tuple(sorted(mult.values()))] += ways
     return {(i, j, prof): c * binom(n, j) for (i, j, prof), c in keys.items()}

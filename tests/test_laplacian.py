@@ -30,6 +30,7 @@ from hyperlap import (
     ssets_colex,
     RandomModel,
 )
+from hyperlap.laplacian import MAX_DENSE_DIM
 
 
 def test_build_aux_single_edge():
@@ -287,6 +288,16 @@ def test_load_rejects_malformed():
 def test_load_rejects_bad_tokens(text, match):
     with pytest.raises(BadParams, match=match):
         load_matrix(io.StringIO(text))
+
+
+def test_load_refuses_a_dimension_past_the_dense_cap():
+    # a header of 10^7 would ask numpy for 728 TiB before any row is read
+    for dim in (MAX_DENSE_DIM + 1, 10**7):
+        with pytest.raises(TooLarge, match=f"^dimension {dim} exceeds the dense budget of 2048$"):
+            load_matrix(io.StringIO(f"{dim}\n1.0\n"))
+    head = f"{MAX_DENSE_DIM}\n"  # the cap itself is read, and its rows are checked
+    with pytest.raises(DimMismatch, match="row 1 has 0 entries, expected 2"):
+        load_matrix(io.StringIO(head + "1.0\n"))
 
 
 def test_load_accepts_trailing_blank_lines():
