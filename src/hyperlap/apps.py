@@ -144,8 +144,7 @@ def mixing_contraction(
     rows q, the point masses on every stop.  Start/step pairs whose
     incoming deviation is already ~0 are vacuous and counted in skipped.
     """
-    if steps < 1:
-        raise BadParams(f"need steps >= 1, got {steps}")
+    steps = _int_at_least(steps, "steps", 1)
     weight = 1.0 / ts.stationary
     x = np.eye(ts.stationary.size) - ts.stationary
     prev = np.sqrt((x * x * weight).sum(axis=1))

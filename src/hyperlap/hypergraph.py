@@ -16,8 +16,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .combin import (SSet, _int_at_least, _to_float, _work_budget, as_sset, binom,
-                     colex_unrank, subset_ranks)
+from .combin import (SSet, _check_probability, _int_at_least, _to_float, _work_budget, as_sset,
+                     binom, colex_unrank, subset_ranks)
 from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, TooLarge
 
 
@@ -165,6 +165,7 @@ def expected_stop_degree(n: int, r: int, s: int, p: float) -> float:
     n, r, s = (_int_at_least(x, name, -math.inf) for x, name in zip((n, r, s), "nrs"))
     if s < 1 or s > r:
         raise StopTooLarge(f"need 1 <= s <= r, got s={s}, r={r}")
+    _check_probability(p)
     return _to_float(binom(n - s, r - s), f"C({n - s}, {r - s})") * p
 
 

@@ -12,16 +12,19 @@ and the search advances by (next stop rank, edge rank).  The successor
 tables are built with combin's colex-rank kernel (subset_ranks) and its
 disjoint column pattern (_disjoint_columns).
 
-Two searches, one per job, each one depth-first loop over a stack of
-branch iterators, one iterator per step taken, so its depth is t and not
-Python's recursion limit.  The labelled search (_raw_walks) finds every
-walk from a stop a0, for enumerate_closed_walks; the canonical search
-(_canonical_walks) finds the canonical walks from stop 0, for census and
-expected_trace (below).  Both prune a partial walk that has more
-single-occurrence edges than steps left (the labelled one with good_only),
-and both take their last two steps only to stops that can still close:
-the closing steps back to the first stop a0 are a0's own steps reversed,
-read once per root.
+One search (_walk_search), a depth-first loop over a stack of branch
+iterators, one iterator per step taken, so its depth is t and not
+Python's recursion limit.  It finds the walks from a stop a0 that keep
+the labelling rule (below) with range(u) already met.  The rule is empty
+once every vertex is labelled: with u = n every step passes, meets no
+label and has factor 1, so the labelled search from a0 is the canonical
+search started at a0 with every label met.  enumerate_closed_walks runs
+it so from each stop it searches, census and expected_trace from stop 0
+with u = s.  It prunes a partial walk that has more single-occurrence
+edges than steps left plus a spare count, 0 for good walks and t for
+every walk, and takes its last two steps only to stops that can still
+close: the closing steps back to a0 are a0's own steps reversed, read
+once per root.
 
 Counting without n: census and expected_trace count the good walks by
 (distinct edges i, distinct vertices j, multiplicity profile), classes
@@ -63,22 +66,22 @@ block, swapping one of them with a smaller label of the block outside
 the stop would keep F and the earlier steps and lower that stop's colex
 rank.  So the classes are first met in the same order at every n.
 
-One search, every stop: enumerate_closed_walks yields every walk on all
-n vertices, from every stop in turn, but searches from stop 0 only.  The
-vertex permutation pi that sends stop 0's vertices to stop a0's and the
-other vertices to the rest, both in order, maps the walks from stop 0
-one to one onto those from a0, good ones onto good ones.  So stop 0's
-walks are kept as rows of ranks, and each later stop's are those rows
-through pi's stop and edge rank maps (_relabelling), sorted by one
-lexsort into search order: the search is lexicographic in its (next
-stop, edge) steps (_replayed).  Goodness and whether a walk can still
-close survive relabelling, so every stop visits the N_0 states stop 0
-visits, and the budget still counts the states of the search from every
-stop: a stop is replayed only while the states so far plus N_0 are
-within the budget, and the stop that would cross it is searched, so the
-walks before TooLarge and its message are those of the full search.  A
-stop 0 with more than MAX_REPLAY_RANKS ranks in its walks is not kept,
-and every stop is searched.
+Searched at stop 0, replayed at every stop: enumerate_closed_walks
+yields every walk on all n vertices, from every stop in turn, but
+searches from stop 0 only.  The vertex permutation pi that sends stop
+0's vertices to stop a0's and the other vertices to the rest, both in
+order, maps the walks from stop 0 one to one onto those from a0, good
+ones onto good ones.  So stop 0's walks are kept as rows of ranks, and
+each later stop's are those rows through pi's stop and edge rank maps
+(_relabelling), sorted by one lexsort into search order: the search is
+lexicographic in its (next stop, edge) steps (_replayed).  Goodness and
+whether a walk can still close survive relabelling, so every stop visits
+the N_0 states stop 0 visits, and the budget still counts the states of
+the search from every stop: a stop is replayed only while the states so
+far plus N_0 are within the budget, and the stop that would cross it is
+searched, so the walks before TooLarge and its message are those of the
+full search.  A stop 0 with more than MAX_REPLAY_RANKS ranks in its
+walks is not kept, and every stop is searched.
 
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
@@ -119,7 +122,11 @@ from .errors import BadCode, BadParams, NotGood, TooLarge
 
 # successor-table steps one walk call may build, C(n,r)*C(r,s)*C(r-s,s):
 # at about 100-130 bytes of Python tuples per step, 2**21 steps hold
-# ~0.25 GB, and building them peaks near 0.6 GB (0.7 GB peak RSS)
+# ~0.25 GB, and building them peaks near 0.6 GB (0.7 GB peak RSS).  The
+# search's step index then adds about 70 bytes per entry, more for a step
+# that meets new labels; an enumeration, whose u never changes, enters a
+# step at most once as a free step and once as a next-to-last one, so the
+# table and its index stay under the build's peak
 MAX_TABLE_STEPS = 2**21
 
 # ranks of stop 0's walks that enumerate_closed_walks keeps to replay at
@@ -182,14 +189,14 @@ def _check_tables(stops: np.ndarray, edges: np.ndarray, succ: tuple, r: int, s: 
 
 def _checked_tables(
     n: int, r: int, s: int, t: int, budget: int | None, canonical: bool = False
-) -> tuple[tuple[np.ndarray, np.ndarray, tuple], int]:
+) -> tuple[tuple[np.ndarray, np.ndarray, tuple], tuple, int]:
     """The walk layer's one entry check: a size that is not an integer,
     then a non-loose s, then t < 1, then a bad budget, then n < 0, then a
     table past MAX_TABLE_STEPS is rejected before the tables are built;
-    returns (tables, limit).  The tables are on range(n), or with canonical
-    on the m = min(n, J) vertices the canonical search needs.  The message
-    names the binomials, since Python refuses to print an int past 4300
-    digits."""
+    returns (tables, their labelling-rule thresholds, limit).  The tables
+    are on range(n), or with canonical on the m = min(n, J) vertices the
+    canonical search needs.  The message names the binomials, since
+    Python refuses to print an int past 4300 digits."""
     n, r, s, t = (_int_at_least(x, name, -math.inf) for x, name in zip((n, r, s, t), "nrst"))
     _check_loose(r, s)
     if t < 1:
@@ -202,144 +209,89 @@ def _checked_tables(
     if binom(n, r) * binom(r, s) * binom(r - s, s) > MAX_TABLE_STEPS:
         raise TooLarge(f"C({n}, {r})*C({r}, {s})*C({r - s}, {s}) walk-table steps "
                        f"exceed the cap of {MAX_TABLE_STEPS}")
-    return _tables(n, r, s), limit
+    stops, edges, succ = _tables(n, r, s)
+    return (stops, edges, succ), _rule(stops, edges), limit
 
 
-def _raw_walks(
-    succ: tuple, a0: int, t: int, good_only: bool, limit: int, nodes: int = 0
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (stop ranks, edge ranks) for every closed t-walk from stop a0.
-    Returns the state count: nodes, the states visited before this search,
-    plus its own.
+def _rule(stops: np.ndarray, edges: np.ndarray) -> tuple[list[int], ...]:
+    """The labelling rule's per-row thresholds, built once per walk call:
+    for the edges, then the stops, c, the first id of the last run of
+    consecutive ids in the row, and the row's largest id plus one."""
+    out = []
+    for rows in (edges, stops):
+        starts = np.diff(rows, axis=1, prepend=-2) > 1  # the first id of each run
+        out += [np.where(starts, rows, 0).max(axis=1).tolist(), (rows[:, -1] + 1).tolist()]
+    return tuple(out)
+
+
+def _walk_search(
+    succ: tuple, rule: tuple, t: int, limit: int, a0: int, u: int, spare: int,
+    nodes: int = 0, roots: int = 1,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """Yield (stop ranks, edge ranks, u, weight) for every closed t-walk
+    from stop a0 that keeps the labelling rule with range(u) met at a0 and
+    holds at most spare single-occurrence edges: u is the number of labels
+    the walk meets, and weight the product of C(u + g, g) C(g, h) over its
+    steps, u the labels met before a step, g the edge's new labels and h
+    the entered stop's (see the module docstring).  With u past every
+    table vertex the rule is empty and every weight 1: spare 0 gives the
+    good walks and spare t every walk.  Returns the state count: nodes,
+    the states visited before this search, plus its own.
 
     Depth-first search on a stack of branch iterators, one per step taken,
-    so a walk of any length t needs no recursion.  Prunes on goodness when
-    good_only: a partial walk with more single-occurrence edges than
-    remaining steps can never become good.  The closing steps (b, a0, j)
-    are the root's checked steps (a0, b, j) reversed, which are walk steps
-    too because disjointness and containment are symmetric.  More than
-    limit states in all is TooLarge, whose message counts the a0 roots
-    before this one as finished.
-    """
+    so a walk of any length t needs no recursion.  A partial walk with more
+    single-occurrence edges than steps left plus spare is pruned.  A step
+    (b, j) with range(u) labelled keeps the rule exactly when u >= max(c_j,
+    c_b), rule's thresholds: then the edge's ids from u on are u, u + 1,
+    ..., the next labels, and the stop's the first of them.  The steps that
+    pass at (stop a, labels met u, phase) are indexed once per call, the
+    first time the search reaches that key, as (j, (b, u after the step,
+    its factor)) in succ's (b, j) order, so the loop unpacks a pair before
+    the prune; the phase is free, the next to last step (only to stops
+    that can close) or the closing step, whose steps (b, a0, j) are a0's
+    checked steps (a0, b, j) reversed, walk steps too because disjointness
+    and containment are symmetric.  Each entry keeps apart, in the same
+    order, its steps over edges with no unmet label, whose (b, u, 1) is
+    shared per b: where the walk can no longer afford a new edge, only
+    those are tried, since every other step opens one and fails the prune.
+    Filtered and pruned steps are never states, so the state count and the
+    budget are those of a search that tests the rule and the prune step by
+    step.  More than limit states in all is TooLarge, whose message counts
+    the a0 of roots roots before this one as finished."""
+    cut_e, top_e, cut_s, top_s = rule
     # close[b]: the steps (a0, j) from b back to a0, in j order
     close: dict[int, list] = {}
     for b, j in succ[a0]:
         close.setdefault(b, []).append((a0, j))
-    near: dict[int, tuple] = {}
-
-    def branch(a: int, st: int):
-        # the steps (b, j) that step st may take from stop a
-        if st < t - 1:
-            return succ[a]
-        if st == t:
-            return close.get(a, ())
-        if a not in near:
-            near[a] = tuple(p for p in succ[a] if p[0] in close)
-        return near[a]
-
-    stops, edges, counts, singles = [a0], [], {}, 0
-    its = [iter(branch(a0, 1))]
-    while its:
-        st = len(its)
-        room = t - st  # single-occurrence edges the walk may still hold
-        for b, j in its[-1]:
-            c = counts.get(j, 0)
-            ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
-            if good_only and ns > room:
-                continue
-            nodes += 1
-            if nodes > limit:
-                raise TooLarge(f"walk enumeration visited {limit} states, its whole "
-                               f"budget, and finished {a0} of {len(succ)} roots")
-            if st == t:
-                yield tuple(stops), tuple(edges) + (j,)
-                continue
-            counts[j] = c + 1
-            singles = ns
-            stops.append(b)
-            edges.append(j)
-            its.append(iter(branch(b, st + 1)))
-            break
-        else:
-            its.pop()
-            if edges:
-                stops.pop()
-                j = edges.pop()
-                c = counts.pop(j) - 1
-                if c:
-                    counts[j] = c
-                singles += (c == 1) - (c == 0)
-    return nodes
-
-
-def _last_run(mask: int) -> int:
-    """The first id of the last run of consecutive ids in the set mask, 0
-    for the empty set."""
-    return (~mask & ((1 << mask.bit_length()) - 1)).bit_length()
-
-
-def _canonical_walks(
-    succ: tuple, t: int, limit: int, emask: list, smask: list
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """Yield (stop ranks, edge ranks, u, weight) for every canonical good
-    closed t-walk from stop 0 = range(s), in the search order of _raw_walks:
-    u is the number of labels the walk meets, and weight the product of
-    C(u + g, g) C(g, h) over its steps, u the labels met before a step, g
-    the edge's new labels and h the entered stop's (see the module
-    docstring).
-
-    A step (b, j) with range(u) labelled keeps the labelling rule exactly
-    when u >= max(c_j, c_b), c the first id of the last run of consecutive
-    ids in the edge or stop: then the edge's ids from u on are u, u + 1,
-    ..., the next labels, and the stop's the first of them.  The steps
-    that pass at (stop a, labels met u, phase) are indexed once per call,
-    the first time the search reaches that key, as (b, j, u after the
-    step, its factor) in succ's (b, j) order; the phase is free, the next
-    to last step (only to stops that can close) or the closing step.  Each
-    entry keeps apart, in the same order, its steps over edges with no
-    unmet label: where the walk can no longer afford a new edge, only those
-    are tried, since every other step opens one and fails the goodness
-    prune.  Filtered and pruned steps are never states, so the state
-    count, the budget and its TooLarge message, "finished 0 of 1 roots",
-    are those of a search that tests the rule and goodness step by step."""
-    if not succ:
-        return
-    cut_e = [_last_run(m) for m in emask]
-    cut_s = [_last_run(m) for m in smask]
-    top_e = [m.bit_length() for m in emask]
-    top_s = [m.bit_length() for m in smask]
-    # close[b]: the steps (0, j) from b back to stop 0, in j order
-    close: dict[int, list] = {}
-    for b, j in succ[0]:
-        close.setdefault(b, []).append((0, j))
     index: dict[tuple[int, int, int], tuple[tuple, tuple]] = {}
 
     def branch(a: int, u: int, st: int, may_open: bool) -> tuple:
-        # the canonical steps that step st may take from stop a, range(u)
-        # met; unless it may open a new edge, only those over edges with
-        # no unmet label
+        # the steps that step st may take from stop a, range(u) met; unless
+        # it may open a new edge, only those over edges with no unmet label
         phase = 0 if st < t - 1 else 2 if st == t else 1
         key = a, u, phase
         steps = index.get(key)
         if steps is None:
             raw = (succ[a] if phase == 0 else close.get(a, ()) if phase == 2
                    else [p for p in succ[a] if p[0] in close])
+            same: dict[int, tuple] = {}  # (b, u, 1) for each b, shared by its steps
             kept = []
             for b, j in raw:
-                if u >= cut_e[j] and u >= cut_s[b]:
-                    g = max(top_e[j] - u, 0)
+                g = top_e[j] - u
+                if g <= 0:  # every label of the edge, and so of the stop, met
+                    kept.append((j, same.get(b) or same.setdefault(b, (b, u, 1))))
+                elif u >= cut_e[j] and u >= cut_s[b]:
                     h = max(top_s[b] - u, 0)
-                    kept.append((b, j, u + g, binom(u + g, g) * binom(g, h)))
-            steps = index[key] = (tuple(kept), tuple(p for p in kept if p[2] == u))
+                    kept.append((j, (b, u + g, binom(u + g, g) * binom(g, h))))
+            steps = index[key] = (tuple(kept), tuple(p for p in kept if p[1][1] == u))
         return steps[0] if may_open else steps[1]
 
-    nodes = 0
-    stops, edges, weights, counts, singles = [0], [], [1], {}, 0
-    its = [iter(branch(0, top_s[0], 1, t > 1))]
+    stops, edges, weights, counts, singles = [a0], [], [1], {}, 0
+    its = [iter(branch(a0, u, 1, t + spare > 1))]
     while its:
         st = len(its)
-        room = t - st  # single-occurrence edges the walk may still hold
-        for b, j, u, f in its[-1]:
+        room = t - st + spare  # single-occurrence edges the walk may still hold
+        for j, step in its[-1]:
             c = counts.get(j, 0)
             ns = singles + (1 if c == 0 else (-1 if c == 1 else 0))
             if ns > room:
@@ -347,7 +299,8 @@ def _canonical_walks(
             nodes += 1
             if nodes > limit:
                 raise TooLarge(f"walk enumeration visited {limit} states, its whole "
-                               f"budget, and finished 0 of 1 roots")
+                               f"budget, and finished {a0} of {roots} roots")
+            b, u, f = step
             if st == t:
                 yield tuple(stops), tuple(edges) + (j,), u, weights[-1] * f
                 continue
@@ -370,6 +323,7 @@ def _canonical_walks(
                 if c:
                     counts[j] = c
                 singles += (c == 1) - (c == 0)
+    return nodes
 
 
 def _relabelling(stops: np.ndarray, edges: np.ndarray, a0: int, n: int) -> list[np.ndarray]:
@@ -488,7 +442,7 @@ def enumerate_closed_walks(
     on range(n), in deterministic colex-driven order.  Searches from stop 0
     only and replays its walks at the other stops (see the module
     docstring)."""
-    (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget)
+    (stops, edges, succ), rule, limit = _checked_tables(n, r, s, t, budget)
     ssets = tuple(map(tuple, stops.tolist()))
     rsets = tuple(map(tuple, edges.tolist()))
     sobj = np.fromiter(ssets, dtype=object, count=len(ssets))
@@ -504,10 +458,10 @@ def enumerate_closed_walks(
                 yield from starmap(walk, _replayed(walks0, *maps, sobj, eobj))
             continue
         # stop 0, a stop past the replay cap, or the stop that runs out of budget
-        search = _raw_walks(succ, a0, t, good_only, limit, nodes)
+        search = _walk_search(succ, rule, t, limit, a0, n, 0 if good_only else t, nodes, len(succ))
         while True:
             try:
-                sidx, eidx = next(search)
+                sidx, eidx, _, _ = next(search)
             except StopIteration as done:
                 nodes = done.value
                 break
@@ -532,10 +486,9 @@ def _walk_profiles(
     canonical walks on m = min(n, J) vertices (see the module docstring):
     one sum over the canonical search, each walk counting its weight times
     C(n, j), which is C(n, j) j!/(s! prod h! (g - h)!) walks."""
-    (stops, edges, succ), limit = _checked_tables(n, r, s, t, budget, canonical=True)
+    (_, _, succ), rule, limit = _checked_tables(n, r, s, t, budget, canonical=True)
     keys: Counter = Counter()
-    for _, e, u, ways in _canonical_walks(succ, t, limit, _masks(edges).tolist(),
-                                          _masks(stops).tolist()):
+    for _, e, u, ways in _walk_search(succ, rule, t, limit, 0, int(s), 0) if succ else ():
         mult = Counter(e)
         keys[len(mult), u, tuple(sorted(mult.values()))] += ways
     return {(i, j, prof): c * binom(n, j) for (i, j, prof), c in keys.items()}
@@ -571,6 +524,7 @@ def census(n: int, r: int, s: int, t: int, budget: int | None = None) -> WalkCen
 
 def edge_moment(q: int, p) -> float | Fraction:
     """q-th central moment of a Bernoulli(p) edge indicator."""
+    q = _int_at_least(q, "moment order", -math.inf)
     if q < 1:
         raise BadParams(f"moment order must be >= 1, got {q}")
     _check_probability(p)

@@ -158,6 +158,16 @@ def test_mixing_custom_start():
     assert rep.holds
 
 
+@pytest.mark.parametrize("steps, message", [
+    (0, "need steps >= 1, got 0"),
+    (2.5, "steps must be an integer, got 2.5"),
+], ids=["zero", "float"])
+def test_mixing_steps_must_be_a_positive_integer(steps, message):
+    ts = transition_system(build_aux(TWO_TRIANGLES, 1))
+    with pytest.raises(BadParams, match=f"^{message}$"):
+        mixing_contraction(ts, 1.0, steps=steps)
+
+
 def test_diameter_bound_complete():
     h = complete(10, 4)
     spec = _spec_of(h, 2)

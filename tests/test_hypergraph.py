@@ -310,6 +310,18 @@ def test_expected_stop_degree():
     assert expected_stop_degree(30, 3, 1, 0.5) == binom(29, 2) * 0.5
 
 
+@pytest.mark.parametrize("p", [1.5, -0.5, float("nan")])
+def test_expected_stop_degree_refuses_a_bad_probability(p):
+    """p past [0, 1] gave a degree past the edge count, and NaN gave nan;
+    the size checks still come first."""
+    with pytest.raises(BadParams, match=f"^probability must lie in \\[0, 1\\], got {p}$"):
+        expected_stop_degree(10, 3, 1, p)
+    with pytest.raises(BadParams, match="^n must be an integer, got 10.0$"):
+        expected_stop_degree(10.0, 3, 1, p)
+    with pytest.raises(StopTooLarge):
+        expected_stop_degree(10, 3, 4, p)
+
+
 def test_expected_stop_degree_past_the_float_range():
     with pytest.raises(TooLarge, match=r"C\(999999, 99\) exceeds the float range"):
         expected_stop_degree(10**6, 100, 1, 0.5)

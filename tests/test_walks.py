@@ -9,7 +9,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -482,6 +482,17 @@ def test_edge_moment():
         edge_moment(2, 1.5)
 
 
+def test_edge_moment_refuses_a_non_integer_order():
+    """A float order gave a complex moment at 2.5 and was taken at 2.0."""
+    for q in (2.5, 2.0, Fraction(2)):
+        message = f"^moment order must be an integer, got {re.escape(repr(q))}$"
+        with pytest.raises(BadParams, match=message):
+            edge_moment(q, 0.5)
+    with pytest.raises(BadParams, match="^moment order must be >= 1, got 0$"):
+        edge_moment(0, 0.5)
+    assert edge_moment(np.int64(2), 0.5) == edge_moment(2, 0.5) == 0.25
+
+
 def test_expected_trace_t2_closed_form():
     """At t=2 the trace is (number of weighted pairs) * p(1-p)."""
     for n, r, s in [(5, 2, 1), (6, 3, 1), (7, 3, 1), (9, 4, 2)]:
@@ -703,14 +714,17 @@ _REPLAY_GRID = [
 
 
 def _searched_from_every_stop(n, r, s, t, good_only):
-    """(stops, edges) of every walk, by the plain search run stop by stop."""
+    """(stops, edges) of every walk, by the search with every label met run
+    stop by stop."""
     stops, edges, succ = walks._tables(n, r, s)
+    rule = walks._rule(stops, edges)
     ssets = [tuple(x) for x in stops.tolist()]
     rsets = [tuple(x) for x in edges.tolist()]
     return [
         (tuple(ssets[a] for a in sidx), tuple(rsets[j] for j in eidx))
         for a0 in range(len(succ))
-        for sidx, eidx in walks._raw_walks(succ, a0, t, good_only, 10**8)
+        for sidx, eidx, _, _ in walks._walk_search(succ, rule, t, 10**8, a0, n,
+                                                   0 if good_only else t)
     ]
 
 
@@ -738,11 +752,71 @@ def _follows_the_labelling_rule(stops, edges, s):
     return True
 
 
+def _colex(n, k):
+    return sorted(combinations(range(n), k), key=lambda c: c[::-1])
+
+
+def _brute_force_walks(n, r, s, t, a0, good_only):
+    """(stops, edges) of every closed t-walk from the a0-th s-set in colex
+    order, or of every good one, in (next stop, edge) order: every stop
+    sequence from a0 and every choice of linking edges, built from the
+    vertex tuples and checked on sets, with no successor table."""
+    stops, edges = _colex(n, s), _colex(n, r)
+    found = []
+    for rest in product(range(len(stops)), repeat=t - 1):
+        seq = (a0,) + rest
+        pairs = [(set(stops[a]), set(stops[b])) for a, b in zip(seq, rest + (a0,))]
+        if any(x & y for x, y in pairs):
+            continue
+        choices = [[j for j, f in enumerate(edges) if x | y <= set(f)] for x, y in pairs]
+        for es in product(*choices):
+            if not (good_only and 1 in Counter(es).values()):
+                found.append(([k for step in zip(rest, es) for k in step] + [es[-1]], seq, es))
+    found.sort()
+    return [(tuple(stops[a] for a in seq), tuple(edges[j] for j in es)) for _, seq, es in found]
+
+
+def _searched(stops, edges, succ, t, a0, u, spare):
+    """(stops, edges, u, weight) of every walk of the search, decoded to
+    vertex tuples."""
+    ssets = [tuple(x) for x in stops.tolist()]
+    rsets = [tuple(x) for x in edges.tolist()]
+    return [
+        (tuple(ssets[a] for a in sidx), tuple(rsets[j] for j in eidx), u, ways)
+        for sidx, eidx, u, ways in walks._walk_search(succ, walks._rule(stops, edges), t,
+                                                      10**8, a0, u, spare)
+    ]
+
+
+@pytest.mark.parametrize("point", [(4, 2, 1, 4), (5, 3, 1, 4), (5, 2, 1, 5), (6, 4, 2, 4)],
+                         ids=_point_id)
+def test_walk_search_matches_the_brute_force_oracle(point):
+    """With every label met (u = n) the search from each stop yields the
+    oracle's walks, good ones with no spare and all of them with spare t,
+    in the oracle's order and with weight 1; with u = s from stop 0 it
+    yields the oracle's good walks that follow the labelling rule, on the
+    tables over range(n) and over range(min(n, J)) alike."""
+    n, r, s, t = point
+    stops, edges, succ = walks._tables(n, r, s)
+    for good_only in (True, False):
+        for a0 in range(len(succ)):
+            got = _searched(stops, edges, succ, t, a0, n, 0 if good_only else t)
+            assert [w[:2] for w in got] == _brute_force_walks(n, r, s, t, a0, good_only)
+            assert {w[2:] for w in got} <= {(n, 1)}
+    ruled = [w for w in _brute_force_walks(n, r, s, t, 0, True)
+             if _follows_the_labelling_rule(*w, s)]
+    small = walks._tables(min(n, s + t // 2 * (r - s)), r, s)
+    for tables in ((stops, edges, succ), small):
+        assert [w[:2] for w in _searched(*tables, t, 0, s, 0)] == ruled
+
+
 def _canonical_tables(n, r, s, t):
-    """The tables on min(n, J) vertices, their masks and their rows as tuples."""
+    """The tables on min(n, J) vertices, their rule, their masks and their
+    rows as tuples."""
     stops, edges, succ = walks._tables(min(n, s + t // 2 * (r - s)), r, s)
     masks = walks._masks(stops).tolist(), walks._masks(edges).tolist()
-    return succ, masks, [tuple(x) for x in stops.tolist()], [tuple(x) for x in edges.tolist()]
+    rows = [tuple(x) for x in stops.tolist()], [tuple(x) for x in edges.tolist()]
+    return succ, walks._rule(stops, edges), masks, *rows
 
 
 @pytest.mark.parametrize("point", _REPLAY_GRID, ids=_point_id)
@@ -751,11 +825,11 @@ def test_canonical_filter_keeps_the_walks_that_follow_the_rule(point):
     the good walks of the unfiltered search that follow the labelling rule,
     checked set by set in plain Python."""
     n, r, s, t = point
-    succ, (smask, emask), ssets, rsets = _canonical_tables(n, r, s, t)
+    succ, rule, _, ssets, rsets = _canonical_tables(n, r, s, t)
     kept = {(sidx, eidx) for sidx, eidx, _, _ in
-            walks._canonical_walks(succ, t, 10**8, emask, smask)}
+            walks._walk_search(succ, rule, t, 10**8, 0, s, 0)}
     ruled = {
-        (sidx, eidx) for sidx, eidx in walks._raw_walks(succ, 0, t, True, 10**8)
+        (sidx, eidx) for sidx, eidx, _, _ in walks._walk_search(succ, rule, t, 10**8, 0, n, 0)
         if _follows_the_labelling_rule([ssets[a] for a in sidx], [rsets[j] for j in eidx], s)
     }
     assert kept == ruled
@@ -767,9 +841,9 @@ def _weighed_walk_by_walk(n, r, s, t):
     the class weight re-derived walk by walk from the masks: at a new
     edge's first step, g its unmet labels and h the entered stop's, the
     weight takes C(u, g) C(g, h), u counted after the step."""
-    succ, (smask, emask), ssets, rsets = _canonical_tables(n, r, s, t)
+    succ, rule, (smask, emask), ssets, rsets = _canonical_tables(n, r, s, t)
     out = []
-    for st, e in walks._raw_walks(succ, 0, t, True, 10**8):
+    for st, e, _, _ in walks._walk_search(succ, rule, t, 10**8, 0, n, 0):
         if not _follows_the_labelling_rule([ssets[a] for a in st], [rsets[j] for j in e], s):
             continue
         u, ways = s, 1
@@ -789,8 +863,8 @@ def test_canonical_weights_match_the_walk_by_walk_count(point):
     key order; the weights times C(n, j) count every good walk."""
     n, r, s, t = point
     want = _weighed_walk_by_walk(*point)
-    succ, (smask, emask), _, _ = _canonical_tables(*point)
-    got = list(walks._canonical_walks(succ, t, 10**8, emask, smask))
+    succ, rule, _, _, _ = _canonical_tables(*point)
+    got = list(walks._walk_search(succ, rule, t, 10**8, 0, s, 0))
     assert got == want
     keys = Counter()
     for _, e, u, ways in want:
