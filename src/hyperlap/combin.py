@@ -32,9 +32,11 @@ DEFAULT_BUDGET = 10**8
 
 
 def _work_budget(budget: int | None) -> int:
-    """Resolve the work budget: the explicit arg, else DEFAULT_BUDGET."""
+    """Resolve the work budget: the explicit arg, an integer, else
+    DEFAULT_BUDGET."""
     if budget is None:
         return DEFAULT_BUDGET
+    budget = _int_at_least(budget, "budget", -math.inf)
     if budget < 1:
         raise BadParams(f"budget must be positive, got {budget}")
     return budget

@@ -83,6 +83,20 @@ searched, so the walks before TooLarge and its message are those of the
 full search.  A stop 0 with more than MAX_REPLAY_RANKS ranks in its
 walks is not kept, and every stop is searched.
 
+Checked once per class: stop_degree_check's report does not change when
+the vertices are renamed, so a replayed walk has the report of the stop-0
+walk it relabels.  Each stop-0 walk kept for replay holds its slot,
+(reports, k), with reports one dict per call and k the walk's column in
+walks0, and _replayed hands each relabelling the slot of its stop-0
+original.  The first check of any walk of the class stores the report at
+k, and every later one returns it; a NotGood is raised every time and
+never stored.  The dict also maps each distinct report to itself, so
+equal reports of one call are one object: (10, 4, 2, 4) has 1540 classes
+and 3 reports.  Walks with no slot are checked one by one: those built
+by a caller, those of a searched stop, and every walk once stop 0
+crosses MAX_REPLAY_RANKS.  The dict lives only as long as the walks of
+one call.
+
 Where the walk axioms are checked: a ClosedWalk built by a caller is
 checked by its constructor, once per call.  The walks that
 enumerate_closed_walks yields are checked once per table instead: every
@@ -111,7 +125,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, repeat, starmap
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -132,7 +146,11 @@ MAX_TABLE_STEPS = 2**21
 # ranks of stop 0's walks that enumerate_closed_walks keeps to replay at
 # the other stops: 2**21 of them hold 16 MB as the list the search fills
 # and 8 MB as the int32 array it becomes, and replaying a stop holds as
-# much again plus its sort order; past it every stop is searched
+# much again plus its sort order.  Each kept walk, 2t of those ranks, is
+# a class, and the call's report dict holds an entry for each class that
+# has been checked, about 72 bytes with its key (the reports are shared):
+# at t = 4, 2**21 ranks are 262144 classes and up to 19 MB of entries.
+# Past the cap every stop is searched
 MAX_REPLAY_RANKS = 2**21
 _REPLAY_CHUNK = 512  # replayed walks decoded through the object arrays at a time
 
@@ -350,21 +368,24 @@ def _relabelling(stops: np.ndarray, edges: np.ndarray, a0: int, n: int) -> list[
 
 
 def _replayed(
-    walks0: np.ndarray, smap: np.ndarray, emap: np.ndarray, sobj: np.ndarray, eobj: np.ndarray
-) -> Iterator[tuple[tuple[SSet, ...], tuple[SSet, ...]]]:
+    walks0: np.ndarray, reports: dict, smap: np.ndarray, emap: np.ndarray,
+    sobj: np.ndarray, eobj: np.ndarray,
+) -> Iterator[tuple[tuple[SSet, ...], tuple[SSet, ...], tuple[dict, int]]]:
     """Stop 0's walks, the columns of walks0 (t stop ranks over t edge
     ranks), relabelled by the rank maps and yielded in search order: by
     next stop, then edge, step by step, (s_2, e_1, s_3, e_2, ..., e_t).
     Each walk is yielded as its (stops, edges) tuples, decoded a chunk at
     a time by indexing sobj and eobj, the object arrays of the stop and
-    edge tuples, so a root's walks are never all built at once."""
+    edge tuples, so a root's walks are never all built at once, and with
+    the report slot of its stop-0 original: reports and its column."""
     t = len(walks0) // 2
     s, e = smap[walks0[:t]], emap[walks0[t:]]
     keys = [k for i in range(1, t) for k in (s[i], e[i - 1])] + [e[t - 1]]
     order = np.lexsort(keys[::-1])
     for lo in range(0, len(order), _REPLAY_CHUNK):
         rows = order[lo:lo + _REPLAY_CHUNK]
-        yield from zip(zip(*sobj[s[:, rows]].tolist()), zip(*eobj[e[:, rows]].tolist()))
+        yield from zip(zip(*sobj[s[:, rows]].tolist()), zip(*eobj[e[:, rows]].tolist()),
+                       zip(repeat(reports), rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -382,6 +403,10 @@ class ClosedWalk:
 
     stops: tuple[SSet, ...]
     edges: tuple[SSet, ...]
+    # (reports, k): the slot in one call's report dict that a walk shares
+    # with the other walks of its class (stop_degree_check), or None; not a
+    # field, so equality, hashing, repr and asdict leave it out
+    _slot = None
 
     def __post_init__(self):
         if not (isinstance(self.stops, tuple) and isinstance(self.edges, tuple)):
@@ -409,12 +434,21 @@ class ClosedWalk:
                 raise BadParams(f"stops around step {i} not inside the linking edge")
 
     @classmethod
-    def _trusted(cls, stops: tuple[SSet, ...], edges: tuple[SSet, ...]) -> ClosedWalk:
-        """A walk built from a checked table's steps, without __post_init__."""
+    def _trusted(
+        cls, stops: tuple[SSet, ...], edges: tuple[SSet, ...], slot: tuple[dict, int] | None
+    ) -> ClosedWalk:
+        """A walk built from a checked table's steps, without __post_init__,
+        holding slot, the report slot of its class, unless that is None."""
         w = object.__new__(cls)
         object.__setattr__(w, "stops", stops)
         object.__setattr__(w, "edges", edges)
+        if slot is not None:
+            object.__setattr__(w, "_slot", slot)
         return w
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle holds the fields alone, not the call's report dict
+        return {"stops": self.stops, "edges": self.edges}
 
     @property
     def length(self) -> int:
@@ -449,13 +483,15 @@ def enumerate_closed_walks(
     eobj = np.fromiter(rsets, dtype=object, count=len(rsets))
     walk = ClosedWalk._trusted
     kept: list[int] = []  # stop 0's walks, each as its t stop ranks then its t edge ranks
+    # each checked class's report by its stop-0 walk's column, and each report to itself
+    reports: dict = {}
     replay, nodes, n0 = True, 0, 0
     for a0 in range(len(succ)):
         if a0 and replay and nodes + n0 <= limit:
             nodes += n0
             if walks0.size:
                 maps = _relabelling(stops, edges, a0, n)
-                yield from starmap(walk, _replayed(walks0, *maps, sobj, eobj))
+                yield from starmap(walk, _replayed(walks0, reports, *maps, sobj, eobj))
             continue
         # stop 0, a stop past the replay cap, or the stop that runs out of budget
         search = _walk_search(succ, rule, t, limit, a0, n, 0 if good_only else t, nodes, len(succ))
@@ -465,13 +501,16 @@ def enumerate_closed_walks(
             except StopIteration as done:
                 nodes = done.value
                 break
+            slot = None
             if not a0 and replay:
                 kept.extend(sidx)
                 kept.extend(eidx)
                 if len(kept) > MAX_REPLAY_RANKS:
                     replay = False
                     kept.clear()
-            yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]))
+                else:
+                    slot = reports, len(kept) // (2 * t) - 1
+            yield walk(tuple([ssets[a] for a in sidx]), tuple([rsets[j] for j in eidx]), slot)
         if not a0:
             n0 = nodes  # every stop visits as many states as stop 0
             walks0 = np.array(kept, dtype=np.intc).reshape(-1, 2 * t).T
@@ -489,8 +528,8 @@ def _walk_profiles(
     (_, _, succ), rule, limit = _checked_tables(n, r, s, t, budget, canonical=True)
     keys: Counter = Counter()
     for _, e, u, ways in _walk_search(succ, rule, t, limit, 0, int(s), 0) if succ else ():
-        mult = Counter(e)
-        keys[len(mult), u, tuple(sorted(mult.values()))] += ways
+        d = set(e)
+        keys[len(d), u, tuple(sorted(map(e.count, d)))] += ways
     return {(i, j, prof): c * binom(n, j) for (i, j, prof), c in keys.items()}
 
 
@@ -640,7 +679,20 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
 
     Computed as counts: the degrees sum to i * C(r, s), so the sum of
     (d_S - 1) is that minus the number of distinct s-subsets.
+
+    The report does not change when the vertices are renamed, so the
+    walks of enumerate_closed_walks that relabel one stop-0 walk share one
+    report slot (see the module docstring): the first check of the class
+    computes the report and stores it there, as the call's one object
+    equal to it, and the others return that same object.  A walk with no
+    slot is checked from its edges every time.
     """
+    slot = w._slot
+    if slot is not None:
+        reports, k = slot
+        report = reports.get(k)
+        if report is not None:
+            return report
     mult: dict[SSet, int] = {}  # distinct edges in first-occurrence order
     for f in w.edges:
         mult[f] = mult.get(f, 0) + 1
@@ -663,7 +715,10 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
     c = 2 * math.comb(r, s - 1)
     rhs = (1 + c / s) * gap
     holds = s * lhs <= (s + c) * gap
-    return StopDegreeReport(lhs, rhs, holds, i, j)
+    report = StopDegreeReport(lhs, rhs, holds, i, j)
+    if slot is not None:
+        report = reports[k] = reports.setdefault(report, report)
+    return report
 
 
 @dataclass(frozen=True)

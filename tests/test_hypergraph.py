@@ -5,6 +5,7 @@ import importlib
 import io
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ def test_sample_blocks_match_one_draw(block, monkeypatch):
         want.append({e for e, u in zip(ssets_colex(m.n, m.r), draws) if u < m.p})
     monkeypatch.setattr(hg, "_DRAW_BLOCK", block)
     assert [set(sample(m).edges) for m in models] == want
+
+
+@pytest.mark.parametrize("budget", [1e3, "x", Fraction(10**4)])
+def test_sample_budget_must_be_an_integer(budget):
+    with pytest.raises(BadParams, match=re.escape(f"budget must be an integer, got {budget!r}")):
+        sample(RandomModel(6, 3, 0.5, 0), budget=budget)
+    with pytest.raises(BadParams, match="budget must be positive, got 0"):
+        sample(RandomModel(6, 3, 0.5, 0), budget=0)
 
 
 def test_sample_respects_budget():

@@ -1,8 +1,11 @@
 """Closed walk enumeration, censuses, moments, and the occurrence code."""
 
+import copy
+import dataclasses
 import gc
 import hashlib
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -153,6 +156,25 @@ def test_budget_guard():
     # each root of (5,2,1,2) takes 4 first steps and 4 closing ones
     with pytest.raises(TooLarge, match="visited 17 states.* finished 2 of 5 roots"):
         list(enumerate_closed_walks(5, 2, 1, 2, budget=17))
+
+
+@pytest.mark.parametrize("budget", [1e3, 1.0, "x", Fraction(10**4)])
+def test_walk_budget_must_be_an_integer(budget):
+    """A budget that is not an integer is BadParams, checked after t and
+    before n, as a bad integer budget is."""
+    message = f"budget must be an integer, got {budget!r}"
+    for call in (lambda: census(5, 2, 1, 4, budget=budget),
+                 lambda: list(enumerate_closed_walks(5, 2, 1, 4, budget=budget)),
+                 lambda: census(-1, 2, 1, 4, budget=budget)):
+        with pytest.raises(BadParams, match=re.escape(message)):
+            call()
+    with pytest.raises(BadParams, match="walk length must be >= 1"):
+        census(5, 2, 1, 0, budget=budget)
+    with pytest.raises(BadParams, match="budget must be positive, got 0"):
+        census(5, 2, 1, 4, budget=np.int64(0))
+    # a bool is an integer, as it is for the sizes: True is a budget of 1
+    with pytest.raises(TooLarge, match="visited 1 states"):
+        list(enumerate_closed_walks(5, 2, 1, 4, budget=True))
 
 
 # what a lazy consumer receives before TooLarge: the number of walks, the
@@ -1135,6 +1157,82 @@ def test_stop_degree_check_rejects_non_good():
                 with pytest.raises(NotGood):
                     stop_degree_check(w)
     assert bad == 120 + 19320 + 90  # all walks less the good ones, per point
+
+
+def _checked_twice_against_the_oracle(walk_iter):
+    """Check every walk twice, the second time from its report slot when
+    it has one: each report equals the oracle's on a fresh walk, which has
+    none, the sign of rhs included; a walk that is not good raises NotGood
+    both times.  Returns the reports."""
+    reports = []
+    for w in walk_iter:
+        fresh = ClosedWalk(w.stops, w.edges)
+        if not fresh.is_good:
+            for _ in range(2):
+                with pytest.raises(NotGood):
+                    stop_degree_check(w)
+            continue
+        want = _old_stop_degree_check(fresh)
+        for _ in range(2):
+            got = stop_degree_check(w)
+            assert got == want
+            assert math.copysign(1, got.rhs) == math.copysign(1, want.rhs)
+        reports.append(got)
+    return reports
+
+
+@pytest.mark.parametrize("point", _REPLAY_GRID, ids=_point_id)
+def test_report_slot_gives_each_walk_the_oracle_report(point):
+    """A replayed walk shares its report slot with the stop-0 walk it
+    relabels; the shared report is the one each walk's own check gives."""
+    n, _, _, t = point
+    for good_only in (True, False) if n + t <= 9 else (True,):
+        _checked_twice_against_the_oracle(enumerate_closed_walks(*point, good_only=good_only))
+
+
+def test_report_slot_checks_each_class_once():
+    """At (10, 4, 2, 4) stop 0 has 1540 good walks, one per class, and the
+    69300 walks of one call share at most that many report objects."""
+    reports = _checked_twice_against_the_oracle(
+        enumerate_closed_walks(10, 4, 2, 4, good_only=True))
+    assert len(reports) == 69300
+    assert len({id(rep) for rep in reports}) <= 1540
+
+
+@pytest.mark.parametrize("cap", [0, 8 * 300])
+def test_report_slot_past_the_replay_cap(cap, monkeypatch):
+    """No stop-0 walk kept (cap 0), or the cap crossed partway through stop
+    0: every stop is searched and every report is still the oracle's."""
+    monkeypatch.setattr(walks, "MAX_REPLAY_RANKS", cap)
+    reports = _checked_twice_against_the_oracle(
+        enumerate_closed_walks(5, 3, 1, 4, good_only=True))
+    assert len(reports) == 1740
+
+
+def test_report_slot_survives_copy_and_pickle():
+    """An enumerated walk, from stop 0 or replayed, checked or not, copies
+    and pickles to a walk equal to a fresh one, with its hash, repr, fields
+    and report, and pickles to the same bytes: the call's report list is
+    left behind.  The report itself stays frozen and copies and pickles."""
+    every = list(enumerate_closed_walks(5, 3, 1, 4, good_only=True))
+    for w, checked in product((every[0], every[-1]), (False, True)):
+        if checked:
+            stop_degree_check(w)
+        fresh = ClosedWalk(w.stops, w.edges)
+        want = stop_degree_check(fresh)
+        assert pickle.dumps(w) == pickle.dumps(fresh)
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert repr(twin) == repr(fresh)
+            assert dataclasses.asdict(twin) == {"stops": w.stops, "edges": w.edges}
+            assert stop_degree_check(twin) == want
+    rep = stop_degree_check(every[0])
+    for twin in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        assert twin == rep and type(twin) is walks.StopDegreeReport
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.lhs = 0
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "lhs", "rhs", "holds", "distinct_edges", "distinct_vertices"]
 
 
 def test_code_from_walk_example():
