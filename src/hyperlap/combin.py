@@ -11,12 +11,21 @@ colex_unrank, in bulk over arrays) and the disjointness of two s-sets
 (_disjoint, and the disjoint column pattern _disjoint_columns).  The
 scalar sset_rank and sset_unrank are kept as the reference the array
 kernels are tested against.
+
+The kernels' constant tables are built once per process: the Pascal table
+_comb_table(w, s), the subset positions _subset_columns(r, s) and the
+disjoint column pairs _disjoint_columns(r, s).  Each is a read-only int64
+array, so every caller shares it.  Only a table of at most _TABLE_ENTRIES
+entries is kept, and at most _TABLE_RESULTS of them, oldest dropped first;
+a bigger table is built on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -25,6 +34,39 @@ import numpy as np
 from .errors import BadParams, BadRank, BadVertex, DegenerateKneser, NotLoose, TooLarge
 
 SSet = tuple[int, ...]
+
+# the per-process table cache (see the module docstring) keeps at most
+# _TABLE_RESULTS tables of at most _TABLE_ENTRIES int64 entries each:
+# 32 * 2**12 * 8 B = 1 MB at worst
+_TABLE_ENTRIES = 2**12
+_TABLE_RESULTS = 32
+_tables: dict[tuple[str, int, int], np.ndarray | tuple[np.ndarray, ...]] = {}
+_tables_lock = threading.Lock()  # held to insert and evict; a lookup needs none
+
+
+def _per_process(build):
+    """Memoise build(a, b), a read-only table or tuple of tables, in
+    _tables under (build's name, a, b).  The arguments are keyed as ints,
+    so a float is the TypeError math.comb raises on it."""
+
+    @functools.wraps(build)
+    def table(a: int, b: int):
+        key = (build.__name__, operator.index(a), operator.index(b))
+        got = _tables.get(key)
+        if got is None:
+            got = build(a, b)
+            arrays = got if isinstance(got, tuple) else (got,)
+            for arr in arrays:
+                arr.flags.writeable = False
+            if sum(arr.size for arr in arrays) <= _TABLE_ENTRIES:
+                with _tables_lock:
+                    if len(_tables) >= _TABLE_RESULTS:
+                        del _tables[next(iter(_tables))]
+                    _tables[key] = got
+        return got
+
+    return table
+
 
 # work cap shared by random sampling (candidate edges) and walk
 # enumeration (search states) when no budget is given
@@ -122,8 +164,9 @@ def sset_rank(vertices: Iterable[int], n: int) -> int:
     return sum(math.comb(v, i + 1) for i, v in enumerate(vs))
 
 
-def sset_unrank(idx: int, n: int, s: int) -> SSet:
-    """Inverse of sset_rank: the s-set of colex rank idx in range(n)."""
+def _checked_rank(idx: int, n: int, s: int) -> tuple[int, int, int]:
+    """idx, n and s as ints, or BadParams for a non-integer or s outside
+    [1, n], else BadRank for idx outside [0, C(n, s))."""
     idx, n, s = (_int_at_least(x, name, -math.inf)
                  for x, name in zip((idx, n, s), ("idx", "n", "s")))
     if s < 1 or s > n:
@@ -131,27 +174,52 @@ def sset_unrank(idx: int, n: int, s: int) -> SSet:
     total = math.comb(n, s)
     if idx < 0 or idx >= total:
         raise BadRank(f"rank {idx} outside [0, {total})")
+    return idx, n, s
+
+
+def _top_vertex(rem: int, hi: int, i: int) -> int:
+    """The largest v <= hi with C(v, i) <= rem, by bisection; C(i - 1, i) = 0."""
+    lo = i - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if math.comb(mid, i) <= rem else (lo, mid - 1)
+    return lo
+
+
+def sset_unrank(idx: int, n: int, s: int) -> SSet:
+    """Inverse of sset_rank: the s-set of colex rank idx in range(n)."""
+    rem, n, s = _checked_rank(idx, n, s)
     out = []
-    rem = idx
     hi = n - 1
     for i in range(s, 0, -1):
-        # bisect for the largest v <= hi with C(v, i) <= rem; C(i - 1, i) = 0
-        lo = i - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if math.comb(mid, i) <= rem else (lo, mid - 1)
-        out.append(lo)
-        rem -= math.comb(lo, i)
-        hi = lo - 1
+        v = _top_vertex(rem, hi, i)
+        out.append(v)
+        rem -= math.comb(v, i)
+        hi = v - 1
     return tuple(reversed(out))
 
 
+@_per_process
 def _comb_table(n: int, s: int) -> np.ndarray:
-    """(s+1, n) table of C(v, i), clipped at C(n, s) to fit int64: each term
-    of a rank below C(n, s) is itself below C(n, s), so no result changes."""
+    """(s+1, n) read-only table of C(v, i), clipped at C(n, s) to fit int64:
+    each term of a rank below C(n, s) is itself below C(n, s), so no result
+    changes.  Row i sums row i - 1, C(v, i) = sum_{u<v} C(u, i-1), in Python
+    ints; a clipped term forces its sum past the clip, so clipping each row
+    before the next sum gives the same table.  Kept per process when small."""
     cap = math.comb(n, s)
-    rows = [[min(math.comb(v, i), cap) for v in range(n)] for i in range(s + 1)]
-    return np.array(rows, dtype=np.int64)
+    tab = np.zeros((s + 1, n), dtype=object)
+    tab[0] = min(1, cap)
+    for i in range(1, s + 1):
+        np.cumsum(tab[i - 1, :-1], out=tab[i, 1:])
+        np.minimum(tab[i], cap, out=tab[i])
+    return tab.astype(np.int64)
+
+
+@_per_process
+def _subset_columns(r: int, s: int) -> np.ndarray:
+    """(C(r, s), s) read-only positions of the s-subsets of an r-set, row k
+    the subset of colex rank k.  Kept per process when small."""
+    return colex_unrank(np.arange(math.comb(r, s)), r, s)
 
 
 def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
@@ -159,10 +227,11 @@ def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
     increasing vertex ids in range(n): an (m, C(r,s)) array whose column k
     is the subset at the positions colex_unrank(k, r, s).  The table spans
     range(w), w = min(n, largest id + 1): a rank of an s-subset of range(w)
-    is below C(w, s), so the clip at C(w, s) changes none of its terms."""
+    is below C(w, s), so the clip at C(w, s) changes none of its terms.
+    The Pascal table and the column positions are the per-process ones."""
     sets = np.asarray(sets, dtype=np.int64)
     tab = _comb_table(min(n, int(sets.max()) + 1) if sets.size else 0, s)
-    cols = colex_unrank(np.arange(math.comb(sets.shape[1], s)), sets.shape[1], s)
+    cols = _subset_columns(sets.shape[1], s)
     out = np.zeros((len(sets), len(cols)), dtype=np.int64)
     for i in range(s):
         out += tab[i + 1][sets[:, cols[:, i]]]
@@ -171,13 +240,19 @@ def subset_ranks(sets: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
     """Bulk inverse of subset_ranks: one increasing row of vertex ids in
-    range(n) per colex rank in idx; a rank outside [0, C(n, s)) is BadRank."""
+    range(n) per colex rank in idx; a rank outside [0, C(n, s)) is BadRank.
+    The largest rank is checked and its top vertex found as in sset_unrank;
+    the Pascal table below it is the per-process one."""
     rem = np.array(idx, dtype=np.int64)
     if rem.size and rem.min() < 0:
         raise BadRank(f"rank {rem.min()} outside [0, {binom(n, s)})")
     # the table spans range(w), w the top vertex of the largest rank plus one,
     # as in subset_ranks: every rank up to it is below C(w, s), so no row changes
-    tab = _comb_table(sset_unrank(int(rem.max()), n, s)[-1] + 1 if rem.size else 0, s)
+    w = 0
+    if rem.size:
+        top, n, s = _checked_rank(int(rem.max()), n, s)
+        w = _top_vertex(top, n - 1, s) + 1
+    tab = _comb_table(w, s)
     out = np.empty((len(rem), s), dtype=np.int64)
     for i in range(s, 0, -1):  # the largest v with C(v, i) <= rem
         out[:, i - 1] = np.searchsorted(tab[i], rem, side="right") - 1
@@ -200,9 +275,11 @@ def _disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@_per_process
 def _disjoint_columns(r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column pairs (a, b) of subset_ranks on r-sets with disjoint subsets."""
-    pos = colex_unrank(np.arange(math.comb(r, s)), r, s)
+    """Column pairs (a, b) of subset_ranks on r-sets with disjoint subsets,
+    two read-only arrays kept per process when small."""
+    pos = _subset_columns(r, s)
     return np.nonzero(_disjoint(pos, pos))
 
 

@@ -86,15 +86,18 @@ class Hypergraph:
 def _check_array(arr: np.ndarray, n: int, r: int) -> None:
     """Raise BadVertex unless arr is an (m, r) int64 array of ids in
     range(n) whose rows strictly increase and are in strictly increasing
-    colex order, which also rules out a repeated edge."""
+    colex order, which also rules out a repeated edge.  The row test
+    reduces the whole comparison first and per row only to name the
+    first bad row."""
     if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != r:
         raise BadVertex(f"edges must be an (m, {r}) int64 array, "
                         f"got {arr.dtype} of shape {arr.shape}")
     if arr.size and (arr.min() < 0 or int(arr.max()) >= n):
         raise BadVertex(f"a vertex id is outside range({n})")
-    bad = (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
+    bad = arr[:, 1:] <= arr[:, :-1]
     if bad.any():
-        raise BadVertex(f"edge {tuple(arr[bad.argmax()].tolist())} is not increasing")
+        k = bad.any(axis=1).argmax()
+        raise BadVertex(f"edge {tuple(arr[k].tolist())} is not increasing")
     # colex compares two rows at the last column where they differ; equal
     # rows differ nowhere, fall to column r - 1 and fail as well
     a, b = arr[:-1], arr[1:]

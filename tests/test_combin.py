@@ -185,6 +185,75 @@ def test_colex_unrank_refuses_a_negative_rank(idx):
         colex_unrank(np.array(idx), 5, 2)
 
 
+@pytest.mark.parametrize("args, err, match", [
+    ((5, 2.0), BadParams, r"^s must be an integer, got 2\.0$"),
+    ((5, 6), BadParams, r"^need 1 <= s <= n, got s=6, n=5$"),
+    ((5, 0), BadParams, r"^need 1 <= s <= n, got s=0, n=5$"),
+])
+def test_colex_unrank_checks_as_sset_unrank(args, err, match):
+    """The largest rank is checked as sset_unrank checks it: sizes first."""
+    with pytest.raises(err, match=match):
+        colex_unrank(np.array([0, 10]), *args)
+
+
+def test_rank_tables_are_read_only_and_shared():
+    tables = (combin._comb_table(6, 2), combin._subset_columns(4, 2),
+              *combin._disjoint_columns(4, 2), combin._comb_table(10**4, 1))
+    for arr in tables:
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert combin._comb_table(6, 2) is combin._comb_table(6, 2)
+    assert combin._subset_columns(4, 2).tolist() == [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3], [2, 3]]
+    a, b = combin._disjoint_columns(4, 2)
+    assert list(zip(a.tolist(), b.tolist())) == [(0, 5), (1, 4), (2, 3), (3, 2), (4, 1), (5, 0)]
+
+
+def test_rank_tables_alternate_widths_and_stop_sizes():
+    """Tables of one process serve every (width, s) in turn."""
+    rng = np.random.default_rng(0)
+    for n in (5, 50, 5):
+        for s in (1, 3, 1):
+            rows = np.sort(np.array([rng.permutation(n)[:4] for _ in range(6)]), axis=1)
+            want = [[sset_rank(row[list(sset_unrank(k, 4, s))], n) for k in range(binom(4, s))]
+                    for row in rows]
+            assert subset_ranks(rows, n, s).tolist() == want
+            idx = rng.integers(0, binom(n, s), 8)
+            got = colex_unrank(idx, n, s)
+            assert [tuple(row) for row in got.tolist()] == [sset_unrank(int(i), n, s) for i in idx]
+
+
+def test_rank_table_cache_is_bounded():
+    """A table past _TABLE_ENTRIES is built per call and not kept, and the
+    cache keeps at most _TABLE_RESULTS tables: at most 1 MB of int64."""
+    assert colex_unrank(np.array([0, 10**6 - 1]), 10**6, 1).tolist() == [[0], [10**6 - 1]]
+    assert not any(key[1] == 10**6 for key in combin._tables)
+    widths = range(100, 100 + 3 * combin._TABLE_RESULTS)
+    for w in widths:
+        combin._comb_table(w, 2)
+    assert len(combin._tables) == combin._TABLE_RESULTS
+    assert ("_comb_table", widths[-1], 2) in combin._tables
+    assert ("_comb_table", widths[0], 2) not in combin._tables
+    sizes = [sum(a.size for a in (v if isinstance(v, tuple) else (v,)))
+             for v in combin._tables.values()]
+    assert max(sizes) <= combin._TABLE_ENTRIES
+    assert 8 * sum(sizes) <= 8 * combin._TABLE_RESULTS * combin._TABLE_ENTRIES == 2**20
+
+
+def test_comb_table_matches_math_comb():
+    """The running-sum table is the clipped C(v, i) table, and past int64
+    it is the OverflowError of converting the clipped terms."""
+    def reference(w, s):
+        cap = math.comb(w, s)
+        return [[min(math.comb(v, i), cap) for v in range(w)] for i in range(s + 1)]
+
+    for w, s in [(w, s) for w in range(45) for s in range(14)] + [(64, 32), (66, 33)]:
+        tab = combin._comb_table(w, s)
+        assert tab.dtype == np.int64 and tab.tolist() == reference(w, s), (w, s)
+    with pytest.raises(OverflowError):
+        combin._comb_table(200, 100)
+
+
 def test_loose_check_keeps_its_order_for_integers():
     with pytest.raises(NotLoose, match=r"^need 1 <= s <= r/2, got s=3, r=4$"):
         complete_spectrum(10, 4, 3)

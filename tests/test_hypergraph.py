@@ -183,6 +183,18 @@ def test_array_check_refuses(fault):
         Hypergraph(5, 3, arr)
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([[0, 1, 2], [0, 2, 2], [1, 0, 3]], r"^edge \(0, 2, 2\) is not increasing$"),
+    ([[0, 1, 3], [0, 1, 2], [0, 2, 4], [1, 2, 3]],
+     r"^edge \(0, 1, 2\) does not follow \(0, 1, 3\) in strict colex order$"),
+    ([[0, 1, 2], [0, 1, 2]],
+     r"^edge \(0, 1, 2\) does not follow \(0, 1, 2\) in strict colex order$"),
+], ids=["two non-increasing rows", "two colex inversions", "equal rows"])
+def test_array_check_names_the_first_bad_row(rows, match):
+    with pytest.raises(BadVertex, match=match):
+        Hypergraph(5, 3, np.array(rows))
+
+
 def test_array_is_copied_unless_read_only():
     arr = np.array([[0, 1, 2], [0, 1, 3]])
     h = Hypergraph(5, 3, arr)
