@@ -5,9 +5,10 @@ Counting good closed walks exactly
 A closed s-walk alternates s-sets and edges; it is good when every
 distinct edge is used at least twice.  The library enumerates them
 exhaustively, buckets by (distinct edges, distinct vertices), and the
-vertex-maximal bucket is reproduced by an exact product formula through
-a parentheses-code bijection.  The census also drives an exact expected
-trace for the centered random matrix.
+vertex-maximal bucket is reproduced by an exact product formula: the
+ways to split its vertices into stops and edge leftovers, times the
+number of Dyck words.  The census also drives an exact expected trace
+for the centered random matrix.
 """
 
 from fractions import Fraction
@@ -40,8 +41,7 @@ print(f"\nvertex-maximal bucket ({k}, {m_k}) vs the product formula:"
 # balanced Dyck words, reusing one edge four times gives the starred one
 seen = set()
 for w in enumerate_closed_walks(5, 2, 1, 4, good_only=True):
-    rep = code_from_walk(w)
-    seen.add(rep.symbols)
+    seen.add(code_from_walk(w))
 print(f"codes of all good 4-walks on pairs: {sorted(seen)}")
 
 # exact rational expected trace at t=2 against its closed form

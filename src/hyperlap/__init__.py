@@ -17,10 +17,8 @@ from .combin import (
     kneser_spectrum,
     sset_rank,
     sset_unrank,
-    ssets_colex,
 )
 from .errors import (
-    BadCode,
     BadParams,
     BadRadius,
     BadRank,
@@ -73,8 +71,6 @@ from .walks import (
     ClosedWalk,
     WalkCensus,
     StopDegreeReport,
-    WalkCode,
-    canonical_partition,
     census,
     census_upper_bound,
     code_from_walk,
@@ -83,7 +79,6 @@ from .walks import (
     expected_trace,
     stop_degree_check,
     tree_walk_count,
-    walk_from_code,
 )
 from .apps import (
     EkrBound,

@@ -27,7 +27,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -258,12 +258,6 @@ def colex_unrank(idx: np.ndarray, n: int, s: int) -> np.ndarray:
         out[:, i - 1] = np.searchsorted(tab[i], rem, side="right") - 1
         rem -= tab[i][out[:, i - 1]]
     return out
-
-
-def ssets_colex(n: int, s: int) -> Iterator[SSet]:
-    """All s-subsets of range(n) in colex order (rank order)."""
-    n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
-    return map(tuple, colex_unrank(np.arange(binom(n, s)), n, s).tolist())
 
 
 def _disjoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,12 +59,7 @@ class EmptySample(HyperlapError, ValueError):
 
 
 class NotGood(HyperlapError, ValueError):
-    """Walk is not good (some edge appears exactly once) or lacks the
-    structure the operation needs."""
-
-
-class BadCode(HyperlapError, ValueError):
-    """Malformed parentheses code."""
+    """Walk is not good: some edge appears exactly once."""
 
 
 class EmptyFamily(HyperlapError, ValueError):

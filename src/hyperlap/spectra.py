@@ -36,6 +36,9 @@ class Spectrum:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise DimMismatch(f"expected a vector of eigenvalues, got shape {v.shape}")
+        # NaN fails every comparison, so the order test would pass it
+        if not np.isfinite(v).all():
+            raise BadParams("eigenvalues must be finite")
         if v.size > 1 and np.any(np.diff(v) < 0):
             raise BadParams("eigenvalues must be ascending")
         object.__setattr__(self, "values", v)

@@ -1,6 +1,6 @@
 """Closed s-walks in the complete r-uniform hypergraph: exact enumeration,
 census by (distinct edges, distinct vertices), moment sums, and the
-parentheses coding of tree-shaped walks.
+occurrence code of a walk.
 
 A closed s-walk of length t is a cyclic sequence S_1, F_1, S_2, ..., S_t,
 F_t (back to S_1) where each stop S_i is an s-set, consecutive stops are
@@ -126,13 +126,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat, starmap
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .combin import (SSet, _check_loose, _check_probability, _disjoint_columns, _int_at_least,
                      _to_float, _work_budget, binom, catalan, colex_unrank, subset_ranks)
-from .errors import BadCode, BadParams, NotGood, TooLarge
+from .errors import BadParams, NotGood, TooLarge
 
 # successor-table steps one walk call may build, C(n,r)*C(r,s)*C(r-s,s):
 # at about 100-130 bytes of Python tuples per step, 2**21 steps hold
@@ -721,41 +721,10 @@ def stop_degree_check(w: ClosedWalk) -> StopDegreeReport:
     return report
 
 
-@dataclass(frozen=True)
-class WalkCode:
-    """Occurrence code of a good walk: '(' first occurrence of an edge,
-    ')' second, '*' any later one."""
-
-    symbols: str
-
-    def __post_init__(self):
-        sym = self.symbols
-        if len(sym) < 2:
-            raise BadCode("code needs at least two symbols")
-        if any(ch not in "()*" for ch in sym):
-            raise BadCode(f"invalid symbol in {sym!r}")
-        if sym[0] != "(":
-            raise BadCode("code must start with '('")
-        if "*" in sym[:2]:
-            raise BadCode("'*' cannot appear in the first two positions")
-        opens = closes = 0
-        for ch in sym:
-            if ch == "(":
-                opens += 1
-            elif ch == ")":
-                closes += 1
-                if closes > opens:
-                    raise BadCode("')' before its matching '('")
-        if opens != closes:
-            raise BadCode("unbalanced code")
-
-    @property
-    def length(self) -> int:
-        return len(self.symbols)
-
-
-def code_from_walk(w: ClosedWalk) -> WalkCode:
-    """Occurrence code of a good walk."""
+def code_from_walk(w: ClosedWalk) -> str:
+    """Occurrence code of a good walk, one symbol per step: '(' the first
+    occurrence of its edge, ')' the second, '*' any later one.  A walk that
+    uses each edge exactly twice gives a Dyck word."""
     if not w.is_good:
         raise NotGood("walk has a single-occurrence edge")
     seen: dict[SSet, int] = {}
@@ -764,92 +733,4 @@ def code_from_walk(w: ClosedWalk) -> WalkCode:
         c = seen.get(f, 0) + 1
         seen[f] = c
         out.append("(" if c == 1 else ")" if c == 2 else "*")
-    return WalkCode("".join(out))
-
-
-def canonical_partition(w: ClosedWalk) -> tuple[tuple[SSet, ...], tuple[SSet, ...]]:
-    """Split a tree-shaped walk into (stops in first-appearance order,
-    per-edge leftover vertex sets in edge-creation order).
-
-    Only defined for good walks of length 2k with k distinct edges spanning
-    the maximum s + k(r-s) vertices; anything else raises NotGood.
-    """
-    s = len(w.stops[0])
-    r = len(w.edges[0])
-    order = w.distinct_edges()
-    k = len(order)
-    if not w.is_good or w.length != 2 * k:
-        raise NotGood("walk is not tree-shaped")
-    stop_order: dict[SSet, None] = {}
-    for stop in w.stops:
-        stop_order.setdefault(stop)
-    if len(stop_order) != k + 1:
-        raise NotGood(f"expected {k + 1} distinct stops, got {len(stop_order)}")
-    allstops = set().union(*stop_order)
-    extras = []
-    support = set(allstops)
-    for f in order:
-        extra = tuple(v for v in f if v not in allstops)
-        if len(extra) != r - 2 * s:
-            raise NotGood("an edge carries vertices of a third stop")
-        extras.append(extra)
-        support.update(f)
-    if len(support) != s + k * (r - s):
-        raise NotGood("walk does not span the maximum vertex count")
-    return tuple(stop_order), tuple(extras)
-
-
-def walk_from_code(
-    stops: Sequence[Iterable[int]],
-    extras: Sequence[Iterable[int]],
-    code: WalkCode | str,
-) -> ClosedWalk:
-    """Rebuild the tree-shaped walk with the given stop and leftover sets
-    whose occurrence code is `code`.
-
-    Inverse of (canonical_partition, code_from_walk) on tree-shaped walks.
-    The code must be plain balanced parentheses with k pairs; stops has
-    k+1 sets in first-appearance order and extras has k sets in
-    edge-creation order, everything pairwise disjoint.
-    """
-    wc = code if isinstance(code, WalkCode) else WalkCode(code)
-    if "*" in wc.symbols:
-        raise BadCode("tree codes cannot contain '*'")
-    k = wc.symbols.count("(")
-    st = [tuple(sorted(v)) for v in stops]
-    ex = [tuple(sorted(v)) for v in extras]
-    if len(st) != k + 1:
-        raise BadParams(f"code has {k} pairs, need {k + 1} stops, got {len(st)}")
-    if len(ex) != k:
-        raise BadParams(f"code has {k} pairs, need {k} leftover sets, got {len(ex)}")
-    s = len(st[0])
-    if s < 1 or any(len(v) != s for v in st):
-        raise BadParams("stops must all have the same positive size")
-    e0 = len(ex[0])
-    if any(len(v) != e0 for v in ex):
-        raise BadParams("leftover sets must all have the same size")
-    blocks = st + [e for e in ex if e]
-    union: set[int] = set()
-    for block in blocks:
-        union.update(block)
-    if len(union) != (k + 1) * s + k * e0:
-        raise BadParams("stops and leftover sets must be pairwise disjoint")
-
-    walk_stops = [st[0]]
-    walk_edges: list[SSet] = []
-    stack: list[tuple[int, SSet]] = [(0, ())]
-    next_stop = 1
-    for ch in wc.symbols:
-        cur = stack[-1][0]
-        if ch == "(":
-            child = next_stop
-            next_stop += 1
-            f = tuple(sorted(st[cur] + st[child] + ex[child - 1]))
-            stack.append((child, f))
-            walk_edges.append(f)
-            walk_stops.append(st[child])
-        else:
-            _, f = stack.pop()
-            walk_edges.append(f)
-            walk_stops.append(st[stack[-1][0]])
-    return ClosedWalk(tuple(walk_stops[:-1]), tuple(walk_edges))
+    return "".join(out)

@@ -227,9 +227,7 @@ def test_expansion_pinned_singletons():
 def test_expansion_full_families():
     h = complete(8, 4)
     lam = spectral_radius(_spec_of(h, 2))
-    from hyperlap import ssets_colex
-
-    fam = list(ssets_colex(8, 2))
+    fam = combin.colex_unrank(np.arange(binom(8, 2)), 8, 2).tolist()
     rep = edge_expansion(h, 2, fam, fam, lam)
     assert rep.e_st == 1.0
     assert rep.e_s == rep.e_t == 1.0

@@ -114,6 +114,16 @@ def test_spectrum_fields():
     assert spec.lambda_bar == 0.5
 
 
+@pytest.mark.parametrize("values", [
+    [np.nan, 1.0], [1.0, np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [np.nan],
+], ids=["nan-first", "nan-between", "inf", "minus-inf", "nan-alone"])
+def test_spectrum_rejects_non_finite_values(values):
+    """NaN fails every comparison, so without its own check it passes the
+    order test and lambda_bar reads 0.0 for [nan, 1]."""
+    with pytest.raises(BadParams, match="^eigenvalues must be finite$"):
+        Spectrum(np.array(values))
+
+
 def test_trivial_count_threshold():
     assert Spectrum(np.array([0.5 * ZERO_TOL, 1.0])).trivial_count == 1
     assert Spectrum(np.array([2 * ZERO_TOL, 1.0])).trivial_count == 0

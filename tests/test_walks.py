@@ -20,15 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlap import (
-    BadCode,
     BadParams,
     ClosedWalk,
     NotGood,
     NotLoose,
     TooLarge,
-    WalkCode,
     binom,
-    canonical_partition,
     catalan,
     census,
     census_upper_bound,
@@ -38,7 +35,6 @@ from hyperlap import (
     expected_trace,
     stop_degree_check,
     tree_walk_count,
-    walk_from_code,
 )
 import hyperlap.combin as combin
 import hyperlap.walks as walks
@@ -76,7 +72,7 @@ def test_walk_constructor_rejects_lists_and_bad_vertices(stops, edges):
 def test_walk_constructor_takes_numpy_integers():
     w = ClosedWalk(((np.int64(0),), (1,)), ((0, np.intc(1), 2), (0, 1, 2)))
     assert w == ClosedWalk(((0,), (1,)), ((0, 1, 2), (0, 1, 2)))
-    assert stop_degree_check(w).holds and code_from_walk(w).symbols == "()"
+    assert stop_degree_check(w).holds and code_from_walk(w) == "()"
 
 
 def test_walk_helpers():
@@ -1075,16 +1071,37 @@ def _random_dyck(k, rng):
     return "".join(out)
 
 
+def _dyck_walk(stops, extras, code):
+    """The tree walk of a Dyck word from stop 0: the i-th '(' climbs to
+    stop i over a new edge made of the stop it leaves, stop i and
+    extras[i - 1], and each ')' walks back over the edge of the last climb
+    still open.  The ClosedWalk constructor checks every walk axiom."""
+    stops = [tuple(sorted(v)) for v in stops]
+    extras = [tuple(sorted(v)) for v in extras]
+    walk_stops, walk_edges, open_climbs = [], [], []
+    at, new = 0, 1
+    for ch in code:
+        walk_stops.append(stops[at])
+        if ch == "(":
+            f = tuple(sorted(stops[at] + stops[new] + extras[new - 1]))
+            open_climbs.append((at, f))
+            at, new = new, new + 1
+        else:
+            at, f = open_climbs.pop()
+        walk_edges.append(f)
+    return ClosedWalk(tuple(walk_stops), tuple(walk_edges))
+
+
 def _tree_walk(r, s, k, rng):
-    """A tree walk of k pairs (length 2k) from walk_from_code, on the
-    vertices range((k + 1) s + k (r - 2s)) in shuffled order."""
+    """A tree walk of k pairs (length 2k) on the vertices
+    range((k + 1) s + k (r - 2s)) in shuffled order."""
     e = r - 2 * s
     verts = list(range((k + 1) * s + k * e))
     rng.shuffle(verts)
     stops = [verts[i * s:(i + 1) * s] for i in range(k + 1)]
     rest = verts[(k + 1) * s:]
     extras = [rest[i * e:(i + 1) * e] for i in range(k)]
-    return walk_from_code(stops, extras, _random_dyck(k, rng))
+    return _dyck_walk(stops, extras, _random_dyck(k, rng))
 
 
 def _bounced(w, i):
@@ -1122,7 +1139,7 @@ def test_stop_degree_check_matches_oracle_on_long_walks(r, s):
         bounced = _bounced(_bounced(w, 0), rng.randrange(w.length))
         for v in (w, twice, bounced):
             _same_report(v)
-        assert "*" in code_from_walk(twice).symbols + code_from_walk(bounced).symbols
+        assert "*" in code_from_walk(twice) + code_from_walk(bounced)
     for steps in (1, 5, 40, 200):
         w = _there_and_back(2 * r + 3, r, s, steps, rng)
         _same_report(w)
@@ -1236,7 +1253,7 @@ def test_report_slot_survives_copy_and_pickle():
 
 
 def test_code_from_walk_example():
-    assert code_from_walk(PAPER_WALK).symbols == "((()*))*"
+    assert code_from_walk(PAPER_WALK) == "((()*))*"
     assert stop_degree_check(PAPER_WALK).holds
 
 
@@ -1247,74 +1264,14 @@ def test_code_from_walk_rejects_non_good():
         code_from_walk(w)
 
 
-def test_walk_code_validation():
-    WalkCode("()")
-    WalkCode("(())()")
-    for bad in [")(", "(*", "((", "(()", "()*(", "x)", "("]:
-        with pytest.raises(BadCode):
-            WalkCode(bad)
-
-
-def test_walk_from_code_example():
-    """k=3, code (())(): the walk climbs two stops, returns, then a leaf."""
-    w = walk_from_code(
-        [(0,), (1,), (2,), (3,)], [(4,), (5,), (6,)], "(())()"
-    )
-    f1, f2, f3 = (0, 1, 4), (1, 2, 5), (0, 3, 6)
-    assert w.stops == ((0,), (1,), (2,), (1,), (0,), (3,))
-    assert w.edges == (f1, f2, f2, f1, f3, f3)
-
-
 def test_partition_code_walk_roundtrip_exhaustive():
-    """Every tree-shaped walk survives decompose + rebuild unchanged."""
-    seen_codes = set()
-    for w in enumerate_closed_walks(6, 2, 1, 4, good_only=True):
-        if len(w.distinct_edges()) != 2:
-            continue
-        stops, extras = canonical_partition(w)
-        code = code_from_walk(w)
-        seen_codes.add(code.symbols)
-        back = walk_from_code(stops, extras, code)
-        assert back == w
-    assert seen_codes == {"(())", "()()"}  # the two Dyck words for k=2
-
-
-def test_canonical_partition_rejects_non_tree():
-    with pytest.raises(NotGood):
-        canonical_partition(PAPER_WALK)  # eight steps, only three edges
-    w = ClosedWalk(((0,), (1,), (0,), (1,)), ((0, 1),) * 4)
-    with pytest.raises(NotGood):
-        canonical_partition(w)  # one edge used four times, not a 2-tree
-
-
-@pytest.mark.parametrize("stops, extras, code, err, message", [
-    ([(0,), (1,), (2,)], [(3,), (4,)], "(()*)", BadCode, "tree codes cannot contain '*'"),
-    ([(0,)], [(2,)], "()", BadParams, "code has 1 pairs, need 2 stops, got 1"),
-    ([(0,), (1,)], [], "()", BadParams, "code has 1 pairs, need 1 leftover sets, got 0"),
-    ([(0,), (1, 2)], [(3,)], "()", BadParams, "stops must all have the same positive size"),
-    ([(), ()], [(3,)], "()", BadParams, "stops must all have the same positive size"),
-    ([(0,), (1,), (2,)], [(3,), (4, 5)], "()()", BadParams,
-     "leftover sets must all have the same size"),
-    ([(0,), (1,), (0,)], [(3,), (4,)], "()()", BadParams,
-     "stops and leftover sets must be pairwise disjoint"),
-], ids=["star", "stops", "leftovers", "stop-sizes", "empty-stops", "leftover-sizes",
-        "disjoint"])
-def test_walk_from_code_refusals(stops, extras, code, err, message):
-    with pytest.raises(err, match=f"^{re.escape(message)}$"):
-        walk_from_code(stops, extras, code)
-
-
-@pytest.mark.parametrize("stops, edges, message", [
-    (PAPER_WALK.stops, PAPER_WALK.edges, "walk is not tree-shaped"),
-    (((0,), (1,), (0,), (1,)), ((0, 1, 2), (0, 1, 3)) * 2, "expected 3 distinct stops, got 2"),
-    (((0,), (1,), (0,), (2,)), ((0, 1, 2), (0, 1, 2), (0, 2, 3), (0, 2, 3)),
-     "an edge carries vertices of a third stop"),
-    (((0,), (1,), (0,), (2,)), ((0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)),
-     "walk does not span the maximum vertex count"),
-], ids=["not-tree", "stops", "third-stop", "span"])
-def test_canonical_partition_refusals(stops, edges, message):
-    with pytest.raises(NotGood, match=f"^{re.escape(message)}$"):
-        canonical_partition(ClosedWalk(stops, edges))
+    """The tree walks of 2 pairs, every good 4-walk with 2 distinct edges on
+    (6, 2, 1), have exactly the two Dyck words of length 4 as codes."""
+    codes = Counter(
+        code_from_walk(w) for w in enumerate_closed_walks(6, 2, 1, 4, good_only=True)
+        if len(w.distinct_edges()) == 2)
+    assert set(codes) == {"(())", "()()"}
+    assert sum(codes.values()) == tree_walk_count(6, 2, 1, 2)
 
 
 def _dyck_words(k):
@@ -1331,6 +1288,8 @@ def _dyck_words(k):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_code_roundtrip_random_trees(data):
+    """The tree walk built from a drawn Dyck word has that word as its
+    code, and meets its stops in the order given."""
     s = data.draw(st.integers(1, 2))
     extra = data.draw(st.integers(0, 2))
     r = 2 * s + extra
@@ -1344,12 +1303,10 @@ def test_code_roundtrip_random_trees(data):
         tuple(sorted(rest[i * extra : (i + 1) * extra])) for i in range(k)
     ]
     code = data.draw(st.sampled_from(_dyck_words(k)))
-    w = walk_from_code(stops, extras, code)
+    w = _dyck_walk(stops, extras, code)
     assert w.length == 2 * k
-    assert code_from_walk(w).symbols == code
-    got_stops, got_extras = canonical_partition(w)
-    assert got_stops == tuple(stops)
-    assert got_extras == tuple(extras)
+    assert code_from_walk(w) == code
+    assert tuple(dict.fromkeys(w.stops)) == tuple(stops)
 
 
 def test_tree_count_formula_agrees_with_codes():
