@@ -303,6 +303,14 @@ def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
     M = D^{-1/2} W D^{-1/2} / C(r-s,s) - K / C(n-s,s) against the pieces
     M1 (recentring of the degree scaling), M2 (centered weights at expected
     degree), M3 (expectation vs Kneser), M4 (flat degree fluctuation).
+
+    Each part is built in a reused buffer, its norm taken, and folded into
+    the running sum ((M1 + M2) + M3) + M4; M comes last, and the identity
+    residual is max |M - that sum|.  The dense dim x dim float64 working
+    set is five matrices (K, the scaling, the centered weights, the sum
+    and the current part) beside g's own weights, plus the solver's copy
+    while a norm is taken.  Every entry is the same IEEE operation, in the
+    same order, as the formula written out on whole arrays.
     """
     if not 0 < p < 1:
         raise BadParams(f"need 0 < p < 1, got {p}")
@@ -311,26 +319,51 @@ def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
     n, r, s = g.n, g.r, g.s
     cap_n = g.dim
     d = expected_stop_degree(n, r, s, p)
+    rs = binom(r - s, s)
+    ew_coef = binom(n - 2 * s, r - 2 * s) * p
+    flat = d / cap_n
+    rs_d = rs * d
+    kn_coef = binom(n - s, s)
     kn = kneser_adjacency(n, s).astype(np.float64)
-    w = g.weights.astype(np.float64)
-    ew = binom(n - 2 * s, r - 2 * s) * p * kn
-    c = w - ew
     inv_sqrt = 1.0 / np.sqrt(g.stop_degrees.astype(np.float64))
     scale = np.outer(inv_sqrt, inv_sqrt)
-    rs = binom(r - s, s)
-    m1 = (c * scale - c / d) / rs
-    m2 = c / (rs * d)
-    m3 = (ew * scale) / rs - (d / cap_n) * scale - kn / binom(n - s, s) + 1 / cap_n
-    m4 = (d * scale - 1) / cap_n
-    m = (w * scale) / rs - kn / binom(n - s, s)
-    resid = float(np.abs(m - (m1 + m2 + m3 + m4)).max())
-    norms = {
-        "m": spectral_norm(m),
-        "m1": spectral_norm(m1),
-        "m2": spectral_norm(m2),
-        "m3": spectral_norm(m3),
-        "m4": spectral_norm(m4),
-    }
+    c = np.multiply(ew_coef, kn)  # ew, the expected weights
+    np.subtract(g.weights, c, out=c)  # c = W - ew
+    # m1 = (c * scale - c / d) / rs
+    acc = np.multiply(c, scale)
+    cur = np.divide(c, d)
+    acc -= cur
+    acc /= rs
+    norm1 = spectral_norm(acc)
+    # m2 = c / (rs * d); c is read no more, so it is scratch from here on
+    np.divide(c, rs_d, out=cur)
+    norm2 = spectral_norm(cur)
+    acc += cur
+    # m3 = (ew * scale) / rs - (d / cap_n) * scale - kn / C(n-s,s) + 1 / cap_n
+    np.multiply(ew_coef, kn, out=cur)
+    cur *= scale
+    cur /= rs
+    np.multiply(flat, scale, out=c)
+    cur -= c
+    np.divide(kn, kn_coef, out=c)
+    cur -= c
+    cur += 1 / cap_n
+    norm3 = spectral_norm(cur)
+    acc += cur
+    # m4 = (d * scale - 1) / cap_n
+    np.multiply(d, scale, out=cur)
+    cur -= 1
+    cur /= cap_n
+    norm4 = spectral_norm(cur)
+    acc += cur
+    # m = (W * scale) / rs - kn / C(n-s,s)
+    np.multiply(g.weights, scale, out=cur)
+    cur /= rs
+    np.divide(kn, kn_coef, out=c)
+    cur -= c
+    norms = {"m": spectral_norm(cur), "m1": norm1, "m2": norm2, "m3": norm3, "m4": norm4}
+    cur -= acc
+    resid = float(np.abs(cur, out=cur).max())
     triangle = norms["m"] <= norms["m1"] + norms["m2"] + norms["m3"] + norms["m4"] + 1e-9
     log_n = math.log(cap_n)
     ratios = {

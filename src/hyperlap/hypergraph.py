@@ -88,7 +88,8 @@ def _check_array(arr: np.ndarray, n: int, r: int) -> None:
     range(n) whose rows strictly increase and are in strictly increasing
     colex order, which also rules out a repeated edge.  The row test
     reduces the whole comparison first and per row only to name the
-    first bad row."""
+    first bad row; the colex test sweeps the columns from last to first
+    with one bool mask per state, so it allocates no (m, r) temporary."""
     if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != r:
         raise BadVertex(f"edges must be an (m, {r}) int64 array, "
                         f"got {arr.dtype} of shape {arr.shape}")
@@ -98,12 +99,15 @@ def _check_array(arr: np.ndarray, n: int, r: int) -> None:
     if bad.any():
         k = bad.any(axis=1).argmax()
         raise BadVertex(f"edge {tuple(arr[k].tolist())} is not increasing")
-    # colex compares two rows at the last column where they differ; equal
-    # rows differ nowhere, fall to column r - 1 and fail as well
+    # colex compares two rows at the last column where they differ: sweep
+    # from column r - 1 down, settling each pair at its first difference;
+    # a pair still tied after column 0 is a repeated edge and fails too
     a, b = arr[:-1], arr[1:]
-    last = r - 1 - (a != b)[:, ::-1].argmax(axis=1)
-    rows = np.arange(len(a))
-    bad = a[rows, last] >= b[rows, last]
+    bad, tie = a[:, r - 1] > b[:, r - 1], a[:, r - 1] == b[:, r - 1]
+    for j in range(r - 2, -1, -1):
+        bad |= tie & (a[:, j] > b[:, j])
+        tie &= a[:, j] == b[:, j]
+    bad |= tie
     if bad.any():
         k = bad.argmax()
         raise BadVertex(f"edge {tuple(b[k].tolist())} does not follow "

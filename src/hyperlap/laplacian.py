@@ -87,11 +87,20 @@ def build_aux(h: Hypergraph, s: int) -> AuxGraph:
 
 
 def normalized_laplacian(g: AuxGraph) -> np.ndarray:
-    """I - D^{-1/2} W D^{-1/2} on the live stops g.kept, in their order."""
+    """I - D^{-1/2} W D^{-1/2} on the live stops g.kept, in their order.
+
+    Built in place in one float64 copy of the weights: the scaled weights
+    x become 0.0 - x, then 1.0 is added on the diagonal, which gives the
+    same bits as 1.0 - x there.
+    """
     kept = g.kept
-    w = g.weights[np.ix_(kept, kept)].astype(np.float64)
+    w = g.weights if kept.size == g.dim else g.weights[np.ix_(kept, kept)]
+    w = w.astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(g.degrees[kept].astype(np.float64))
-    return np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt)
+    w *= np.outer(inv_sqrt, inv_sqrt)
+    np.subtract(0.0, w, out=w)
+    w.ravel()[:: kept.size + 1] += 1.0  # the diagonal of w, as a view
+    return w
 
 
 def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:

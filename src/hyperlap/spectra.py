@@ -78,7 +78,10 @@ def _as_array(m) -> np.ndarray:
 
     Every solver, dump and load of a matrix goes through this check: m must
     hold real numbers (bool reads as 0/1), be square, be finite and lie
-    within 1e-10 of its transpose.  A float64 array is not copied.
+    within 1e-10 of its transpose.  A float64 array is not copied.  The
+    symmetry test allocates one dim x dim temporary, a - a.T, and takes its
+    absolute value in place, so the check never holds more than the
+    solver's own copy of the matrix.
     """
     try:
         a = np.asarray(m)
@@ -92,7 +95,8 @@ def _as_array(m) -> np.ndarray:
     # NaN fails the symmetry test, so check finiteness first
     if not np.isfinite(a).all():
         raise BadParams("matrix has non-finite entries")
-    if not (np.abs(a - a.T) <= 1e-10).all():
+    diff = a - a.T
+    if not (np.abs(diff, out=diff) <= 1e-10).all():
         raise DimMismatch("matrix is not symmetric")
     return a
 

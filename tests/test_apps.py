@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,17 +25,22 @@ from hyperlap import (
     edge_expansion,
     eigenvalues_sym,
     ekr_bound,
+    expected_stop_degree,
     hypergraph,
     is_connected,
+    kneser_adjacency,
     mixing_contraction,
     monotonicity_check,
     normalized_laplacian,
     perturbation_diagnostics,
     s_diameter,
     sample,
+    spectral_norm,
     spectral_radius,
     transition_system,
+    ZeroDegree,
 )
+import hyperlap.apps as apps
 import hyperlap.combin as combin
 
 
@@ -409,3 +415,74 @@ def test_perturbation_float_bits_pinned(n, r, s, p):
     assert rep.norms == pytest.approx(norms, rel=1e-12, abs=0)
     assert rep.ratios == pytest.approx(ratios, rel=1e-12, abs=0)
     assert rep.triangle_holds
+
+
+def _perturbation_formula(g, p):
+    """The parts m1..m4 and m of perturbation_diagnostics and its identity
+    residual, written on whole arrays."""
+    n, r, s = g.n, g.r, g.s
+    cap_n = g.dim
+    d = expected_stop_degree(n, r, s, p)
+    kn = kneser_adjacency(n, s).astype(np.float64)
+    w = g.weights.astype(np.float64)
+    ew = binom(n - 2 * s, r - 2 * s) * p * kn
+    c = w - ew
+    inv_sqrt = 1.0 / np.sqrt(g.stop_degrees.astype(np.float64))
+    scale = np.outer(inv_sqrt, inv_sqrt)
+    rs = binom(r - s, s)
+    m1 = (c * scale - c / d) / rs
+    m2 = c / (rs * d)
+    m3 = (ew * scale) / rs - (d / cap_n) * scale - kn / binom(n - s, s) + 1 / cap_n
+    m4 = (d * scale - 1) / cap_n
+    m = (w * scale) / rs - kn / binom(n - s, s)
+    return [m1, m2, m3, m4, m], float(np.abs(m - (m1 + m2 + m3 + m4)).max())
+
+
+@pytest.mark.parametrize("h, s, p", [
+    (sample(RandomModel(12, 3, 0.5, 0)), 1, 0.5),
+    (sample(RandomModel(16, 3, 0.3, 1)), 1, 0.3),
+    (sample(RandomModel(10, 2, 0.6, 2)), 1, 0.6),
+    (sample(RandomModel(14, 4, 0.5, 2)), 2, 0.5),
+    (sample(RandomModel(24, 4, 0.3, 0)), 2, 0.3),
+    (complete(10, 4), 2, 0.5),
+    (sample(RandomModel(10, 4, 0.05, 0)), 2, 0.05),
+], ids=["12-3-s1", "16-3-s1", "10-2-s1", "14-4-s2", "24-4-s2", "complete-s2", "dead-stops-s2"])
+def test_perturbation_bits_match_the_whole_array_formula(h, s, p, monkeypatch):
+    """Each part reaches the solver with the bits of the whole-array formula,
+    once, and the residual is the same float."""
+    g = build_aux(h, s)
+    if g.kept.size < g.dim:  # 7 dead stops: refused before any matrix
+        with pytest.raises(ZeroDegree):
+            perturbation_diagnostics(g, p)
+        return
+    seen = []
+
+    def recorded(m):
+        seen.append(m.copy())
+        return spectral_norm(m)
+
+    monkeypatch.setattr(apps, "spectral_norm", recorded)
+    rep = perturbation_diagnostics(g, p)
+    parts, resid = _perturbation_formula(g, p)
+    assert len(seen) == len(parts)
+    for want in parts:
+        assert sum(np.array_equal(got.view(np.int64), want.view(np.int64))
+                   for got in seen) == 1
+    assert list(rep.norms) == ["m", "m1", "m2", "m3", "m4"]
+    assert [rep.norms[k] for k in ("m1", "m2", "m3", "m4", "m")] == [
+        spectral_norm(m) for m in parts]
+    assert rep.identity_residual == resid
+
+
+def test_perturbation_working_set():
+    """Five dense matrices and the symmetry check's temporary, beside g's own
+    weights: the whole-array formula peaks at 12.0 matrices here."""
+    g = build_aux(sample(RandomModel(24, 4, 0.3, 0)), 2)
+    dim = g.dim  # 276
+    tracemalloc.start()
+    try:
+        perturbation_diagnostics(g, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * dim * dim * 8

@@ -195,6 +195,49 @@ def test_array_check_names_the_first_bad_row(rows, match):
         Hypergraph(5, 3, np.array(rows))
 
 
+def _first_colex_fault(arr):
+    """The argmax formulation of the colex test: each pair of neighbours
+    is compared at the last column where it differs, a repeated row at
+    column r - 1; the index of the first bad pair, or None."""
+    a, b = arr[:-1], arr[1:]
+    last = arr.shape[1] - 1 - (a != b)[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(a))
+    bad = a[rows, last] >= b[rows, last]
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _colex_corruptions(arr, rng):
+    """arr with two neighbours swapped, a row repeated, and a pair that ties
+    on every column but 0 put out of order."""
+    k = int(rng.integers(len(arr) - 1))
+    swapped = arr.copy()
+    swapped[[k, k + 1]] = swapped[[k + 1, k]]
+    yield swapped
+    yield np.insert(arr, k, arr[k], axis=0)
+    ties = np.flatnonzero((arr[:-1, 1:] == arr[1:, 1:]).all(axis=1))
+    k = int(rng.choice(ties))
+    tied = arr.copy()
+    tied[[k, k + 1]] = tied[[k + 1, k]]
+    yield tied
+
+
+@pytest.mark.parametrize("m", [RandomModel(12, 3, 0.5, 0), RandomModel(30, 3, 0.5, 1),
+                               RandomModel(14, 4, 0.3, 2), RandomModel(10, 2, 0.6, 3),
+                               RandomModel(9, 5, 0.4, 4)], ids=str)
+def test_colex_check_matches_the_argmax_oracle(m):
+    arr = sample(m)._edge_array
+    assert _first_colex_fault(arr) is None
+    Hypergraph(m.n, m.r, arr)
+    for bad in _colex_corruptions(arr, np.random.default_rng(m.seed)):
+        k = _first_colex_fault(bad)
+        assert k is not None
+        msg = (f"edge {tuple(bad[k + 1].tolist())} does not follow "
+               f"{tuple(bad[k].tolist())} in strict colex order")
+        with pytest.raises(BadVertex) as exc:
+            Hypergraph(m.n, m.r, bad)
+        assert str(exc.value) == msg
+
+
 def test_array_is_copied_unless_read_only():
     arr = np.array([[0, 1, 2], [0, 1, 3]])
     h = Hypergraph(5, 3, arr)

@@ -1,6 +1,7 @@
 """Auxiliary graph assembly, the normalized Laplacian, and closed forms."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,56 @@ def test_laplacian_is_kneser_for_complete():
     lap = normalized_laplacian(build_aux(complete(n, r), s))
     want = np.eye(binom(n, s)) - kneser_adjacency(n, s) / binom(n - s, s)
     assert np.max(np.abs(lap - want)) < 1e-12
+
+
+def _laplacian_formula(g):
+    """I - D^{-1/2} W D^{-1/2} on the live stops, written on whole arrays."""
+    kept = g.kept
+    w = g.weights[np.ix_(kept, kept)].astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(g.degrees[kept].astype(np.float64))
+    return np.eye(kept.size) - w * np.outer(inv_sqrt, inv_sqrt)
+
+
+# s = 1 and s = 2; the (10, 4), (20, 4) and (9, 2) draws have dead stops
+# (7, 8 and 1 of them), the lone edge 2 and the empty hypergraph all 5
+_LAPLACIAN_GRID = [
+    (sample(RandomModel(12, 3, 0.05, 0)), 1),
+    (sample(RandomModel(16, 3, 0.3, 1)), 1),
+    (sample(RandomModel(9, 2, 0.3, 4)), 1),
+    (sample(RandomModel(10, 4, 0.05, 0)), 2),
+    (sample(RandomModel(14, 4, 0.5, 2)), 2),
+    (sample(RandomModel(20, 4, 0.02, 3)), 2),
+    (complete(10, 4), 2),
+    (hypergraph(6, 4, [[0, 1, 2, 3]]), 1),
+    (hypergraph(5, 2, []), 1),
+]
+
+
+@pytest.mark.parametrize("h, s", _LAPLACIAN_GRID, ids=[
+    "12-3-s1", "16-3-s1", "9-2-s1", "10-4-s2", "14-4-s2", "20-4-s2", "complete-s2",
+    "lone-edge", "empty"])
+def test_laplacian_bits_match_the_whole_array_formula(h, s):
+    g = build_aux(h, s)
+    lap, want = normalized_laplacian(g), _laplacian_formula(g)
+    assert lap.shape == want.shape and lap.dtype == np.float64
+    assert np.array_equal(lap.view(np.int64), want.view(np.int64))
+    assert np.array_equal(g.weights, build_aux(h, s).weights)  # g is not written
+
+
+@pytest.mark.parametrize("m, s", [(RandomModel(24, 4, 0.3, 0), 2),
+                                  (RandomModel(30, 4, 0.01, 0), 2)], ids=str)
+def test_laplacian_working_set(m, s):
+    """One float64 copy of the live weights and the scaling, no more: the
+    whole-array formula peaks at 3.0-3.2 matrices here, this at 2.0-2.2."""
+    g = build_aux(sample(m), s)
+    k = g.kept.size
+    tracemalloc.start()
+    try:
+        normalized_laplacian(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * k * k * 8
 
 
 def test_laplacian_diagonal_and_range():

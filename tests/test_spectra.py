@@ -1,5 +1,7 @@
 """Eigensolver wrapper, spectral statistics, and the semicircle law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,25 @@ def test_eigenvalues_take_bool_and_int_matrices():
 def test_symmetric_check_does_not_copy_float64():
     a = np.eye(3)
     assert _as_array(a) is a
+
+
+def test_symmetric_check_holds_one_temporary():
+    """a - a.T and its absolute value share one buffer: abs(a - a.T) as two
+    arrays peaks at 2.0 matrices here."""
+    dim = 1000
+    rng = np.random.default_rng(0)
+    a = rng.random((dim, dim))
+    a += a.T
+    tracemalloc.start()
+    try:
+        _as_array(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dim * dim * 8
+    a[0, 1] += 1e-9  # the verdict is unchanged: past 1e-10 is refused
+    with pytest.raises(DimMismatch, match="not symmetric"):
+        _as_array(a)
 
 
 @pytest.mark.parametrize("dim", [5, 40, 400])
