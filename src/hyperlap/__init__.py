@@ -20,7 +20,6 @@ from .combin import (
 )
 from .errors import (
     BadParams,
-    BadRadius,
     BadRank,
     BadVertex,
     DegenerateKneser,
@@ -62,7 +61,6 @@ from .spectra import (
     deviation,
     eigenvalues_sym,
     ks_distance,
-    scaled_ecdf,
     semicircle_cdf,
     spectral_norm,
     spectral_radius,

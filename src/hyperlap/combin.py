@@ -140,7 +140,8 @@ def catalan(k: int) -> int:
 def as_sset(vertices: Iterable[int], n: int) -> SSet:
     """Canonicalize an iterable of vertex ids into an s-set tuple.
 
-    Checks that labels are distinct integers in range(n), else BadVertex.
+    Checks that labels are distinct integers in range(n), else BadVertex;
+    a bool is not a vertex id, though Python counts it an int.
     """
     try:
         vs = tuple(sorted(vertices))
@@ -149,7 +150,7 @@ def as_sset(vertices: Iterable[int], n: int) -> SSet:
     if not vs:
         raise BadVertex("empty vertex set")
     for v in vs:
-        if not isinstance(v, (int, np.integer)):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             raise BadVertex(f"vertex {v!r} is not an integer")
         if v < 0 or v >= n:
             raise BadVertex(f"vertex {v} outside range(0, {n})")

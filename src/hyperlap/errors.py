@@ -50,10 +50,6 @@ class DimMismatch(HyperlapError, ValueError):
     """Matrix or vector dimensions do not agree."""
 
 
-class BadRadius(HyperlapError, ValueError):
-    """Scaling radius must be positive."""
-
-
 class EmptySample(HyperlapError, ValueError):
     """Statistic of an empty sample requested."""
 

@@ -25,28 +25,24 @@ from .errors import BadParams, BadRank, BadVertex, EmptySample, StopTooLarge, To
 class Hypergraph:
     """An r-uniform hypergraph on vertex set range(n).
 
-    Hypergraph(n, r, edges) takes either the (m, r) int64 array itself, in
-    the canonical order of the module docstring, or a collection of
-    r-tuples in any order, each accepted iff as_sset leaves it unchanged,
-    then colex-sorted.  Both end in the same check, _check_array.  A
-    writable array is copied, so the caller's later writes cannot reach
-    the hypergraph.  n and r are ints, numpy ints included.
+    Hypergraph(n, r, edges) takes the (m, r) int64 array itself, in the
+    canonical order of the module docstring, and checks it with
+    _check_array; anything else is BadVertex.  hypergraph() is the builder
+    from edges in any order and form.  A writable array is copied, so the
+    caller's later writes cannot reach the hypergraph.  n and r are ints,
+    numpy ints included.
     """
 
     n: int
     r: int
     _edge_array: np.ndarray = field(repr=False)
 
-    def __init__(self, n: int, r: int, edges: np.ndarray | Iterable[SSet]):
+    def __init__(self, n: int, r: int, edges: np.ndarray):
         n, r = _int_at_least(n, "n", 0), _int_at_least(r, "r", 1)
-        if isinstance(edges, np.ndarray):
-            arr = edges.copy() if edges.flags.writeable else edges
-        else:
-            rows = list(edges)
-            for e in rows:
-                if not isinstance(e, tuple) or as_sset(e, n) != e:
-                    raise BadVertex(f"edge {e!r} is not an increasing tuple of vertex ids")
-            arr = _colex_array(rows, r)
+        if not isinstance(edges, np.ndarray):
+            raise BadVertex(f"edges must be the canonical (m, {r}) int64 array, got "
+                            f"{type(edges).__name__}; build from other edges with hypergraph()")
+        arr = edges.copy() if edges.flags.writeable else edges
         _check_array(arr, n, r)
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
@@ -70,17 +66,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self._edge_array)
-
-    def degree(self, vertices: Iterable[int]) -> int:
-        """Number of edges containing the given s-set, for any 1 <= s < r."""
-        vs = as_sset(vertices, self.n)
-        if len(vs) >= self.r:
-            raise StopTooLarge(f"{len(vs)}-set is not a proper subset of {self.r}-edges")
-        if vs[-1] >= 2**63:  # past every id the int64 array can hold
-            return 0
-        # the ids of a row are distinct, so it holds vs iff it meets all of vs
-        hits = np.isin(self._edge_array, vs).sum(axis=1)
-        return int((hits == len(vs)).sum())
 
 
 def _check_array(arr: np.ndarray, n: int, r: int) -> None:
@@ -114,10 +99,12 @@ def _check_array(arr: np.ndarray, n: int, r: int) -> None:
                         f"{tuple(a[k].tolist())} in strict colex order")
 
 
-def _colex_array(rows: list[SSet], r: int) -> np.ndarray:
-    """Edges that as_sset leaves unchanged, as a read-only (m, r) int64
-    array in colex order; BadVertex for an edge of another size or an id
-    past the int64 range."""
+def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
+    """Build a hypergraph from edges in any order, each canonicalized once by
+    as_sset and a repeated edge counted once; BadVertex for an edge that
+    as_sset refuses, an edge of another size or an id past the int64 range."""
+    n, r = _int_at_least(n, "n", 0), _int_at_least(r, "r", 1)
+    rows = list({as_sset(e, n) for e in edges})
     try:
         arr = np.array(rows, dtype=np.int64).reshape(len(rows), r)
     except OverflowError:
@@ -126,15 +113,8 @@ def _colex_array(rows: list[SSet], r: int) -> np.ndarray:
         bad = next(e for e in rows if len(e) != r)
         raise BadVertex(f"edge {bad} does not have {r} vertices") from None
     arr = arr[np.lexsort(arr.T)]
-    arr.flags.writeable = False
-    return arr
-
-
-def hypergraph(n: int, r: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Build a hypergraph from edges in any order, each canonicalized once by as_sset."""
-    n, r = _int_at_least(n, "n", 0), _int_at_least(r, "r", 1)
-    canon = {as_sset(e, n) for e in edges}  # a repeated edge counts once
-    return Hypergraph(n, r, _colex_array(list(canon), r))  # read-only: not copied
+    arr.flags.writeable = False  # handed over, not copied
+    return Hypergraph(n, r, arr)
 
 
 def complete(n: int, r: int) -> Hypergraph:

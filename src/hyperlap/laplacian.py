@@ -60,10 +60,6 @@ class AuxGraph:
         """Weighted degrees of the auxiliary graph: C(r-s,s) * stop degree."""
         return binom(self.r - self.s, self.s) * self.stop_degrees
 
-    @property
-    def volume(self) -> int:
-        return int(self.degrees.sum())
-
 
 def _dense_dim(n: int, s: int) -> int:
     """C(n,s), the dimension of the dense matrices on the s-sets of range(n),
@@ -121,11 +117,18 @@ def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
 
 def centered_weight(g: AuxGraph, p: float) -> np.ndarray:
     """The weights of the auxiliary graph g minus their Bernoulli(p)
-    expectation C(n-2s, r-2s) p K, with K the Kneser adjacency on s-sets."""
+    expectation C(n-2s, r-2s) p K, with K the Kneser adjacency on s-sets.
+
+    The expected weight is subtracted in place, only where K is 1: an
+    entry where K is 0 keeps its weight, which x - 0.0 would give too, so
+    the bits are those of the whole-array formula.  Beside the float copy
+    of the weights it holds K and one bool mask, not the product p K.
+    """
     _check_probability(p)
     c = g.weights.astype(np.float64)
     if g.n >= 2 * g.s:
-        c -= binom(g.n - 2 * g.s, g.r - 2 * g.s) * p * kneser_adjacency(g.n, g.s)
+        kn = kneser_adjacency(g.n, g.s)
+        np.subtract(c, binom(g.n - 2 * g.s, g.r - 2 * g.s) * p, out=c, where=kn.astype(bool))
     return c
 
 

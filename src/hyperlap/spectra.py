@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadParams,
-    BadRadius,
     DimMismatch,
     Disconnected,
     EigenFail,
@@ -65,13 +64,6 @@ class Spectrum:
             raise EmptySample("empty spectrum")
         return float(self.values[-1])
 
-    @property
-    def lambda_bar(self) -> float:
-        """max(1 - lambda1, lambda_max - 1), the nontrivial radius around 1."""
-        if self.dim < 2:
-            raise DimMismatch("lambda_bar needs at least two eigenvalues")
-        return max(1.0 - self.lambda1, self.lambda_max - 1.0)
-
 
 def _as_array(m) -> np.ndarray:
     """m as a float64 array, held to the one rule for a symmetric matrix.
@@ -114,16 +106,21 @@ def eigenvalues_sym(m: np.ndarray) -> Spectrum:
 
 
 def spectral_radius(spec: Spectrum) -> float:
-    """Nontrivial spectral radius max(1 - lambda1, lambda_max - 1).
+    """The paper's lambda_bar = max_{i != 0} |1 - lambda_i|, which for a
+    Laplacian spectrum in [0, 2] is max(1 - lambda1, lambda_max - 1).
 
-    Only defined for the Laplacian of a connected auxiliary graph, i.e.
-    exactly one eigenvalue within ZERO_TOL of zero.
+    The library's one lambda_bar.  Only defined for the Laplacian of a
+    connected auxiliary graph, i.e. exactly one eigenvalue within ZERO_TOL
+    of zero (else Disconnected), and at least two eigenvalues (else
+    DimMismatch).
     """
     if spec.trivial_count != 1:
         raise Disconnected(
             f"expected exactly one near-zero eigenvalue, found {spec.trivial_count}"
         )
-    return spec.lambda_bar
+    if spec.dim < 2:
+        raise DimMismatch("lambda_bar needs at least two eigenvalues")
+    return max(1.0 - spec.lambda1, spec.lambda_max - 1.0)
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -171,14 +168,6 @@ class Ecdf:
         if not np.all(np.isfinite(p)):
             raise BadParams("sample has non-finite points")
         object.__setattr__(self, "points", p)
-
-
-def scaled_ecdf(spec: Spectrum | np.ndarray, center: float, radius: float) -> Ecdf:
-    """Empirical CDF of (values - center) / radius."""
-    if radius <= 0:
-        raise BadRadius(f"radius must be positive, got {radius}")
-    vals = spec.values if isinstance(spec, Spectrum) else np.asarray(spec)
-    return Ecdf((vals - center) / radius)
 
 
 def ks_distance(sample: Ecdf, cdf: Callable) -> float:

@@ -394,11 +394,11 @@ class ClosedWalk:
 
     F_i links S_i to S_{i+1}, with F_t closing back to S_1.  Stops and
     edges are tuples, and each stop and edge a sorted tuple of non-negative
-    integer vertex ids (int or np.integer), so that a walk and its edges
-    hash.  The constructor checks the walk axioms on every call, raising
-    BadParams; the walks of enumerate_closed_walks skip it, because their
-    rows and steps were checked once per table (_check_tables), and their
-    vertices are plain ints.
+    integer vertex ids (int or np.integer, not bool), so that a walk and
+    its edges hash.  The constructor checks the walk axioms on every call,
+    raising BadParams; the walks of enumerate_closed_walks skip it, because
+    their rows and steps were checked once per table (_check_tables), and
+    their vertices are plain ints.
     """
 
     stops: tuple[SSet, ...]
@@ -415,7 +415,8 @@ class ClosedWalk:
         if t < 1 or t != len(self.edges):
             raise BadParams("need equally many stops and edges, at least one each")
         for v in self.stops + self.edges:
-            if not (isinstance(v, tuple) and all(isinstance(x, (int, np.integer)) and x >= 0
+            if not (isinstance(v, tuple) and all(isinstance(x, (int, np.integer))
+                                                 and not isinstance(x, bool) and x >= 0
                                                  for x in v)):
                 raise BadParams(f"{v!r} is not a tuple of non-negative integer vertex ids")
         s = len(self.stops[0])
@@ -450,19 +451,8 @@ class ClosedWalk:
         # a copy or a pickle holds the fields alone, not the call's report dict
         return {"stops": self.stops, "edges": self.edges}
 
-    @property
-    def length(self) -> int:
-        return len(self.stops)
-
     def edge_multiplicities(self) -> Counter:
         return Counter(self.edges)
-
-    def distinct_edges(self) -> tuple[SSet, ...]:
-        """Distinct edges in first-occurrence order."""
-        seen: dict[SSet, None] = {}
-        for f in self.edges:
-            seen.setdefault(f)
-        return tuple(seen)
 
     @property
     def is_good(self) -> bool:
@@ -546,10 +536,6 @@ class WalkCensus:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def max_vertices(self, i: int) -> int:
-        """Largest possible vertex support of a good walk with i distinct edges."""
-        return self.s + i * (self.r - self.s)
 
 
 def census(n: int, r: int, s: int, t: int, budget: int | None = None) -> WalkCensus:

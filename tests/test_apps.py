@@ -15,7 +15,6 @@ from hyperlap import (
     Disconnected,
     EmptyFamily,
     EmptySample,
-    Hypergraph,
     RandomModel,
     binom,
     build_aux,
@@ -279,7 +278,7 @@ def test_expansion_at_a_huge_n(monkeypatch):
         return table(n, s)
 
     monkeypatch.setattr(combin, "_comb_table", small)
-    rep = edge_expansion(Hypergraph(2**40, 2, frozenset({(0, 1)})), 1, [(0,)], [(1,)], 0.5)
+    rep = edge_expansion(hypergraph(2**40, 2, [(0, 1)]), 1, [(0,)], [(1,)], 0.5)
     assert (rep.e_st, rep.e_s, rep.e_t) == (1.0, 0.5, 0.5)
     assert (rep.lhs, rep.rhs, rep.holds) == (0.75, 0.125, False)
 

@@ -79,6 +79,9 @@ def test_as_sset_sorts_and_validates():
         as_sset([0, 5], 5)
     with pytest.raises(BadVertex):
         as_sset([-1, 2], 5)
+    for ids in [(True, 3), (np.bool_(True), 3), (False,)]:  # a bool is not a vertex id
+        with pytest.raises(BadVertex, match="is not an integer"):
+            as_sset(ids, 5)
 
 
 def test_colex_order_is_rank_order():

@@ -1,5 +1,6 @@
 """The package root exports every public dataclass its modules define, and
-every name it exports has a reader outside the tests."""
+every name it exports, and every public method or property of an exported
+class, has a reader outside the tests."""
 
 import dataclasses
 import importlib
@@ -57,4 +58,32 @@ def test_every_export_has_a_reader():
         own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unread.append(name)
+    assert unread == []
+
+
+def _public_attributes(cls: type) -> list[str]:
+    """The public methods and properties defined in cls's own body, less
+    its dataclass fields and dunders."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return [
+        name for name, obj in vars(cls).items()
+        if not name.startswith("_") and name not in fields
+        and (callable(obj) or isinstance(obj, (property, classmethod, staticmethod)))
+    ]
+
+
+def test_every_public_attribute_has_a_reader():
+    """The same rule one level down: a public method or property of an
+    exported class stays only if a reader line other than its own def
+    reads it as .name."""
+    classes = [obj for name, obj in vars(hyperlap).items()
+               if not name.startswith("__") and isinstance(obj, type)]
+    lines = list(_reader_lines())
+    unread = []
+    for cls in classes:
+        for name in _public_attributes(cls):
+            attr = re.compile(rf"\.{re.escape(name)}\b")
+            own = re.compile(rf"^\s*def\s+{re.escape(name)}\b")
+            if not any(attr.search(line) and not own.match(line) for line in lines):
+                unread.append(f"{cls.__name__}.{name}")
     assert unread == []

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hyperlap import (
     BadParams,
     DimMismatch,
-    Hypergraph,
     NotLoose,
     TooLarge,
     binom,
@@ -54,7 +53,7 @@ def test_build_aux_complete_6_4():
 def test_build_aux_empty():
     g = build_aux(hypergraph(6, 4, []), 2)
     assert g.weights.sum() == 0
-    assert g.volume == 0
+    assert g.degrees.sum() == 0
 
 
 def test_build_aux_rejects_tight():
@@ -101,7 +100,7 @@ def test_aux_and_degrees_match_definitions(data):
     n = data.draw(st.integers(2, 8))
     r = data.draw(st.integers(2, min(5, n)))
     all_edges = list(map(tuple, colex_unrank(np.arange(binom(n, r)), n, r).tolist()))
-    h = Hypergraph(n, r, frozenset(data.draw(st.sets(st.sampled_from(all_edges)))))
+    h = hypergraph(n, r, data.draw(st.sets(st.sampled_from(all_edges))))
     for s in range(1, r + 1):
         stops = [set(x) for x in colex_unrank(np.arange(binom(n, s)), n, s).tolist()]
         deg = [sum(1 for e in h.edges if x <= set(e)) for x in stops]
@@ -281,6 +280,51 @@ def test_centered_weight_mean_is_zero():
     sigma = np.sqrt(coef * p * (1 - p) / trials)  # variance bound per entry
     mask = 1 - np.eye(n)
     assert np.max(np.abs(acc * mask)) < 4 * sigma
+
+
+def _centered_formula(g, p):
+    """The weights minus C(n-2s, r-2s) p K, written on whole arrays."""
+    c = g.weights.astype(np.float64)
+    if g.n >= 2 * g.s:
+        c = c - binom(g.n - 2 * g.s, g.r - 2 * g.s) * p * kneser_adjacency(g.n, g.s)
+    return c
+
+
+# s = 1 and s = 2, complete and empty; at (3, 4) the expected weight
+# C(1, 2) p is 0.0 at s = 1, and n < 2s leaves nothing to subtract at s = 2
+_CENTERED_GRID = [
+    (sample(RandomModel(12, 3, 0.3, 0)), 1, 0.3),
+    (sample(RandomModel(14, 4, 0.5, 2)), 2, 0.5),
+    (sample(RandomModel(20, 4, 0.02, 3)), 2, 0.02),
+    (complete(10, 4), 2, 0.7),
+    (hypergraph(9, 3, []), 1, 0.1),
+    (hypergraph(3, 4, []), 1, 0.4),
+    (hypergraph(3, 4, []), 2, 0.4),
+]
+
+
+@pytest.mark.parametrize("h, s, p", _CENTERED_GRID, ids=[
+    "12-3-s1", "14-4-s2", "20-4-s2", "complete-s2", "empty", "zero-coef", "n-below-2s"])
+def test_centered_weight_bits_match_the_whole_array_formula(h, s, p):
+    g = build_aux(h, s)
+    got, want = centered_weight(g, p), _centered_formula(g, p)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(g.weights, build_aux(h, s).weights)  # g is not written
+
+
+def test_centered_weight_working_set():
+    """The float copy of the weights, the Kneser adjacency and one bool
+    mask: the whole-array formula peaks at 3.0 matrices here (dim 780),
+    the in-place subtraction at 2.13."""
+    g = build_aux(sample(RandomModel(40, 4, 0.3, 0)), 2)
+    tracemalloc.start()
+    try:
+        centered_weight(g, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g.dim * g.dim * 8
 
 
 def test_dump_load_roundtrip():

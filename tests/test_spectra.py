@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from hyperlap import (
     BadParams,
-    BadRadius,
     DimMismatch,
     Disconnected,
     Ecdf,
@@ -25,7 +24,6 @@ from hyperlap import (
     ks_distance,
     normalized_laplacian,
     sample,
-    scaled_ecdf,
     semicircle_cdf,
     spectral_norm,
     spectral_radius,
@@ -132,7 +130,7 @@ def test_spectrum_fields():
     assert spec.trivial_count == 1
     assert spec.lambda1 == 0.5
     assert spec.lambda_max == 1.5
-    assert spec.lambda_bar == 0.5
+    assert spectral_radius(spec) == 0.5
 
 
 @pytest.mark.parametrize("values", [
@@ -231,15 +229,6 @@ def test_semicircle_cdf_shape():
     assert np.max(np.abs(dens[mid] - want[mid])) < 1e-6
 
 
-def test_scaled_ecdf():
-    spec = Spectrum(np.array([1.0, 1.0, 1.0]))
-    assert scaled_ecdf(spec, 1.0, 2.0).points.tolist() == [0.0, 0.0, 0.0]
-    pts = scaled_ecdf(np.array([3.0, 1.0]), 1.0, 2.0).points
-    assert pts.tolist() == [0.0, 1.0]
-    with pytest.raises(BadRadius):
-        scaled_ecdf(spec, 0.0, 0.0)
-
-
 def test_ecdf_empty():
     with pytest.raises(EmptySample):
         Ecdf(np.array([]))
@@ -285,6 +274,6 @@ def test_scaled_spectrum_support():
     radius = 2 * np.sqrt(binom(2, 1) * binom(39, 2) * p * (1 - p))
     for seed in range(3):
         h = sample(RandomModel(n, r, p, seed))
-        pts = scaled_ecdf(eigenvalues_sym(centered_weight(build_aux(h, s), p)), 0.0, radius)
-        assert pts.points.min() > -1.2
-        assert pts.points.max() < 1.2
+        pts = eigenvalues_sym(centered_weight(build_aux(h, s), p)).values / radius
+        assert pts.min() > -1.2
+        assert pts.max() < 1.2
