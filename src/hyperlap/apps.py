@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combin import (_check_loose, _disjoint_columns, _int_at_least, _kneser_terms, as_sset,
-                     binom, kneser_adjacency, subset_ranks)
+from .combin import (_check_loose, _disjoint_columns, _int_at_least, _kneser_mask, _kneser_terms,
+                     as_sset, binom, subset_ranks)
 from .errors import (
     BadParams,
     DegenerateKneser,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hypergraph import Hypergraph, expected_stop_degree
 from .laplacian import AuxGraph, build_aux, normalized_laplacian
-from .spectra import Spectrum, eigenvalues_sym, spectral_norm
+from .spectra import Spectrum, _row_blocks, eigenvalues_sym, spectral_norm
 
 
 def _spectrum_of(h: Hypergraph, s: int) -> tuple[AuxGraph, np.ndarray, Spectrum]:
@@ -304,13 +304,17 @@ def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
     M1 (recentring of the degree scaling), M2 (centered weights at expected
     degree), M3 (expectation vs Kneser), M4 (flat degree fluctuation).
 
-    Each part is built in a reused buffer, its norm taken, and folded into
-    the running sum ((M1 + M2) + M3) + M4; M comes last, and the identity
-    residual is max |M - that sum|.  The dense dim x dim float64 working
-    set is five matrices (K, the scaling, the centered weights, the sum
-    and the current part) beside g's own weights, plus the solver's copy
-    while a norm is taken.  Every entry is the same IEEE operation, in the
-    same order, as the formula written out on whole arrays.
+    Each part is built a row block at a time (_row_blocks) in one reused
+    dim x dim buffer, its norm taken, and folded block by block into the
+    running sum ((M1 + M2) + M3) + M4; M comes last, and the identity
+    residual is max |M - that sum|.  A block recomputes its rows of the
+    scaling, of the Kneser terms and of the centered weights, so the dense
+    dim x dim working set is g's own weights, the part and the sum, plus
+    the solver's copy while a norm is taken, and K as a bool mask at one
+    byte an entry.  Every entry is the same IEEE operation, in the same
+    order, as the formula written out on whole arrays: where(K, ew_coef,
+    0.0) has the bits of ew_coef * K, and where(K, 1 / C(n-s,s), 0.0)
+    those of K / C(n-s,s).
     """
     if not 0 < p < 1:
         raise BadParams(f"need 0 < p < 1, got {p}")
@@ -323,47 +327,56 @@ def perturbation_diagnostics(g: AuxGraph, p: float) -> PerturbationReport:
     ew_coef = binom(n - 2 * s, r - 2 * s) * p
     flat = d / cap_n
     rs_d = rs * d
-    kn_coef = binom(n - s, s)
-    kn = kneser_adjacency(n, s).astype(np.float64)
+    kn_inv = 1 / binom(n - s, s)
+    kn = _kneser_mask(n, s)
     inv_sqrt = 1.0 / np.sqrt(g.stop_degrees.astype(np.float64))
-    scale = np.outer(inv_sqrt, inv_sqrt)
-    c = np.multiply(ew_coef, kn)  # ew, the expected weights
-    np.subtract(g.weights, c, out=c)  # c = W - ew
-    # m1 = (c * scale - c / d) / rs
-    acc = np.multiply(c, scale)
-    cur = np.divide(c, d)
-    acc -= cur
-    acc /= rs
-    norm1 = spectral_norm(acc)
-    # m2 = c / (rs * d); c is read no more, so it is scratch from here on
-    np.divide(c, rs_d, out=cur)
-    norm2 = spectral_norm(cur)
-    acc += cur
-    # m3 = (ew * scale) / rs - (d / cap_n) * scale - kn / C(n-s,s) + 1 / cap_n
-    np.multiply(ew_coef, kn, out=cur)
-    cur *= scale
-    cur /= rs
-    np.multiply(flat, scale, out=c)
-    cur -= c
-    np.divide(kn, kn_coef, out=c)
-    cur -= c
-    cur += 1 / cap_n
-    norm3 = spectral_norm(cur)
-    acc += cur
-    # m4 = (d * scale - 1) / cap_n
-    np.multiply(d, scale, out=cur)
-    cur -= 1
-    cur /= cap_n
-    norm4 = spectral_norm(cur)
-    acc += cur
-    # m = (W * scale) / rs - kn / C(n-s,s)
-    np.multiply(g.weights, scale, out=cur)
-    cur /= rs
-    np.divide(kn, kn_coef, out=c)
-    cur -= c
-    norms = {"m": spectral_norm(cur), "m1": norm1, "m2": norm2, "m3": norm3, "m4": norm4}
+
+    def scale(b):
+        return np.outer(inv_sqrt[b], inv_sqrt)
+
+    def centered(b):  # c = W - ew, ew = ew_coef K the expected weights
+        ew = np.where(kn[b], ew_coef, 0.0)
+        return np.subtract(g.weights[b], ew, out=ew)
+
+    def m1(b, out):  # (c * scale - c / d) / rs
+        c = centered(b)
+        np.multiply(c, scale(b), out=out)
+        out -= np.divide(c, d, out=c)
+        out /= rs
+
+    def m2(b, out):  # c / (rs * d)
+        np.divide(centered(b), rs_d, out=out)
+
+    def m3(b, out):  # (ew * scale) / rs - (d / cap_n) * scale - K / C(n-s,s) + 1 / cap_n
+        sc = scale(b)
+        np.multiply(np.where(kn[b], ew_coef, 0.0), sc, out=out)
+        out /= rs
+        out -= np.multiply(flat, sc, out=sc)
+        out -= np.where(kn[b], kn_inv, 0.0)
+        out += 1 / cap_n
+
+    def m4(b, out):  # (d * scale - 1) / cap_n
+        np.multiply(d, scale(b), out=out)
+        out -= 1
+        out /= cap_n
+
+    def m(b, out):  # (W * scale) / rs - K / C(n-s,s)
+        np.multiply(g.weights[b], scale(b), out=out)
+        out /= rs
+        out -= np.where(kn[b], kn_inv, 0.0)
+
+    acc, cur = np.empty((cap_n, cap_n)), np.empty((cap_n, cap_n))
+    norms = {}
+    for name, part in (("m1", m1), ("m2", m2), ("m3", m3), ("m4", m4), ("m", m)):
+        out = acc if name == "m1" else cur  # m1 starts the sum
+        for b in _row_blocks(cap_n):
+            part(b, out[b])
+            if name in ("m2", "m3", "m4"):
+                acc[b] += cur[b]
+        norms[name] = spectral_norm(out)
     cur -= acc
     resid = float(np.abs(cur, out=cur).max())
+    norms = {k: norms[k] for k in ("m", "m1", "m2", "m3", "m4")}
     triangle = norms["m"] <= norms["m1"] + norms["m2"] + norms["m3"] + norms["m4"] + 1e-9
     log_n = math.log(cap_n)
     ratios = {

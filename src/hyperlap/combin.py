@@ -8,9 +8,9 @@ of S does not depend on n.
 This module is the one home of the two rules the s-th Laplacian is built
 from: the colex rank of an s-set (subset_ranks, and its inverse
 colex_unrank, in bulk over arrays) and the disjointness of two s-sets
-(_disjoint, and the disjoint column pattern _disjoint_columns).  The
-scalar sset_rank and sset_unrank are kept as the reference the array
-kernels are tested against.
+(_disjoint, the disjoint column pattern _disjoint_columns and the Kneser
+mask _kneser_mask).  The scalar sset_rank and sset_unrank are kept as the
+reference the array kernels are tested against.
 
 The kernels' constant tables are built once per process: the Pascal table
 _comb_table(w, s), the subset positions _subset_columns(r, s) and the
@@ -295,8 +295,14 @@ def kneser_adjacency(n: int, s: int) -> np.ndarray:
     n, s = _int_at_least(n, "n", -math.inf), _int_at_least(s, "s", -math.inf)
     if s < 1 or n < s:
         raise BadParams(f"need 1 <= s <= n, got s={s}, n={n}")
+    return _kneser_mask(n, s).astype(np.int64)
+
+
+def _kneser_mask(n: int, s: int) -> np.ndarray:
+    """The bool Kneser adjacency of K(n,s) on colex-ordered s-sets, for
+    1 <= s <= n: the matrix layer reads it as a mask, at one byte an entry."""
     sets = colex_unrank(np.arange(math.comb(n, s)), n, s)
-    return _disjoint(sets, sets).astype(np.int64)
+    return _disjoint(sets, sets)
 
 
 def _kneser_terms(n: int, s: int) -> list[tuple[int, int]]:

@@ -49,6 +49,17 @@ class Hypergraph:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "_edge_array", arr)
 
+    @classmethod
+    def _trusted(cls, n: int, r: int, edges: np.ndarray) -> Hypergraph:
+        """A hypergraph on a read-only (m, r) int64 array that colex_unrank
+        made from strictly increasing ranks below C(n, r), which is canonical
+        by construction, so _check_array is not run; n and r are ints."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "r", r)
+        object.__setattr__(h, "_edge_array", edges)
+        return h
+
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
@@ -168,6 +179,8 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
     The candidate count is capped by the work budget (see _work_budget).
     Draws come in blocks of _DRAW_BLOCK, which continue one stream, so
     memory stays bounded and the edges do not depend on the block size.
+    The kept ranks increase, so colex_unrank gives the canonical array and
+    the hypergraph is built by Hypergraph._trusted, without _check_array.
     """
     limit = _work_budget(budget)
     count = binom(model.n, model.r)
@@ -180,7 +193,7 @@ def sample(model: RandomModel, budget: int | None = None) -> Hypergraph:
     ]
     edges = colex_unrank(np.concatenate(kept), model.n, model.r)
     edges.flags.writeable = False  # handed over, not copied
-    return Hypergraph(model.n, model.r, edges)
+    return Hypergraph._trusted(model.n, model.r, edges)
 
 
 def degree_stats(h: Hypergraph, s: int) -> np.ndarray:

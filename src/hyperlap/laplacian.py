@@ -8,8 +8,8 @@ positive-degree s-sets (the live stops, AuxGraph.kept) captures the s-th
 spectral structure of the hypergraph; normalized_laplacian returns it as
 a plain float64 array on those stops.  All matrices are dense; s-sets
 are indexed in colex order.
-The colex ranks and the disjointness rule come from combin (subset_ranks
-and _disjoint_columns); this module only counts with them.
+The colex ranks and the disjointness rule come from combin (subset_ranks,
+_disjoint_columns and _kneser_mask); this module only counts with them.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from typing import IO
 import numpy as np
 
 from .combin import (EigenPair, _check_loose, _check_probability, _disjoint_columns,
-                     _int_at_least, _kneser_terms, binom, kneser_adjacency, subset_ranks)
+                     _int_at_least, _kneser_mask, _kneser_terms, binom, subset_ranks)
 from .errors import BadParams, DimMismatch, TooLarge
 from .hypergraph import Hypergraph, _ints
-from .spectra import _as_array
+from .spectra import _as_array, _row_blocks
 
 MAX_DENSE_DIM = 2048
 
@@ -85,18 +85,24 @@ def build_aux(h: Hypergraph, s: int) -> AuxGraph:
 def normalized_laplacian(g: AuxGraph) -> np.ndarray:
     """I - D^{-1/2} W D^{-1/2} on the live stops g.kept, in their order.
 
-    Built in place in one float64 copy of the weights: the scaled weights
-    x become 0.0 - x, then 1.0 is added on the diagonal, which gives the
-    same bits as 1.0 - x there.
+    Built in the one float64 array it returns, a row block at a time
+    (_row_blocks): each block of live weights x is scaled by its block of
+    the outer product of D^{-1/2} and becomes 0.0 - x, then 1.0 is added on
+    the diagonal, which gives the same bits as 1.0 - x there.  Beside the
+    result it holds a block's weights and scaling, never a dim x dim
+    temporary.
     """
     kept = g.kept
-    w = g.weights if kept.size == g.dim else g.weights[np.ix_(kept, kept)]
-    w = w.astype(np.float64)
+    dim = kept.size
     inv_sqrt = 1.0 / np.sqrt(g.degrees[kept].astype(np.float64))
-    w *= np.outer(inv_sqrt, inv_sqrt)
-    np.subtract(0.0, w, out=w)
-    w.ravel()[:: kept.size + 1] += 1.0  # the diagonal of w, as a view
-    return w
+    lap = np.empty((dim, dim))
+    for b in _row_blocks(dim):
+        block = lap[b]
+        block[...] = g.weights[b] if dim == g.dim else g.weights[np.ix_(kept[b], kept)]
+        block *= np.outer(inv_sqrt[b], inv_sqrt)
+        np.subtract(0.0, block, out=block)
+    lap.ravel()[:: dim + 1] += 1.0  # the diagonal of lap, as a view
+    return lap
 
 
 def complete_spectrum(n: int, r: int, s: int) -> list[EigenPair]:
@@ -122,13 +128,13 @@ def centered_weight(g: AuxGraph, p: float) -> np.ndarray:
     The expected weight is subtracted in place, only where K is 1: an
     entry where K is 0 keeps its weight, which x - 0.0 would give too, so
     the bits are those of the whole-array formula.  Beside the float copy
-    of the weights it holds K and one bool mask, not the product p K.
+    of the weights it holds K as one bool mask, not the product p K.
     """
     _check_probability(p)
     c = g.weights.astype(np.float64)
     if g.n >= 2 * g.s:
-        kn = kneser_adjacency(g.n, g.s)
-        np.subtract(c, binom(g.n - 2 * g.s, g.r - 2 * g.s) * p, out=c, where=kn.astype(bool))
+        coef = binom(g.n - 2 * g.s, g.r - 2 * g.s) * p
+        np.subtract(c, coef, out=c, where=_kneser_mask(g.n, g.s))
     return c
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,6 +23,22 @@ from .errors import (
 )
 
 ZERO_TOL = 1e-8
+
+# entries of a dim x dim matrix that one row-block pass of the matrix layer
+# holds in each temporary: 128 KB of float64
+_BLOCK_ENTRIES = 2**14
+
+
+def _row_blocks(dim: int) -> Iterator[slice]:
+    """Consecutive row slices of a dim x dim matrix, each of about
+    _BLOCK_ENTRIES entries and at least one row, covering range(dim).
+
+    The matrix layer builds and checks its dense matrices a row block at a
+    time, so a temporary holds one block, not a whole matrix; every entry
+    is the same IEEE operation as in the whole-array formula.
+    """
+    step = max(1, _BLOCK_ENTRIES // max(dim, 1))
+    return (slice(i, i + step) for i in range(0, dim, step))
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,10 @@ def _as_array(m) -> np.ndarray:
     Every solver, dump and load of a matrix goes through this check: m must
     hold real numbers (bool reads as 0/1), be square, be finite and lie
     within 1e-10 of its transpose.  A float64 array is not copied.  The
-    symmetry test allocates one dim x dim temporary, a - a.T, and takes its
-    absolute value in place, so the check never holds more than the
-    solver's own copy of the matrix.
+    finiteness test reduces to the minimum and maximum, which NaN and inf
+    reach, and the symmetry test runs a row block at a time (_row_blocks),
+    a[b] - a[:, b].T, so the check holds no dim x dim temporary.  Every
+    entry is tested before any is compared with its transpose.
     """
     try:
         a = np.asarray(m)
@@ -84,12 +101,14 @@ def _as_array(m) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    # NaN fails the symmetry test, so check finiteness first
-    if not np.isfinite(a).all():
+    # NaN fails the symmetry test, so check finiteness first; min and max
+    # propagate NaN
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise BadParams("matrix has non-finite entries")
-    diff = a - a.T
-    if not (np.abs(diff, out=diff) <= 1e-10).all():
-        raise DimMismatch("matrix is not symmetric")
+    for b in _row_blocks(len(a)):
+        diff = a[b] - a[:, b].T
+        if not (np.abs(diff, out=diff) <= 1e-10).all():
+            raise DimMismatch("matrix is not symmetric")
     return a
 
 

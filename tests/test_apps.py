@@ -41,6 +41,7 @@ from hyperlap import (
 )
 import hyperlap.apps as apps
 import hyperlap.combin as combin
+import hyperlap.spectra as spectra
 
 
 def _spec_of(h, s):
@@ -474,8 +475,11 @@ def test_perturbation_bits_match_the_whole_array_formula(h, s, p, monkeypatch):
 
 
 def test_perturbation_working_set():
-    """Five dense matrices and the symmetry check's temporary, beside g's own
-    weights: the whole-array formula peaks at 12.0 matrices here."""
+    """Beside g's own weights: the part, the running sum and the bool Kneser
+    mask (2.125 matrices) and the row blocks of one part's temporaries.  At
+    dim 276 a block is 59 rows, and the peak measures 2.77 matrices; the
+    whole-array formula peaks at 12.0, and five whole matrices with the
+    symmetry check's temporary at 6.1."""
     g = build_aux(sample(RandomModel(24, 4, 0.3, 0)), 2)
     dim = g.dim  # 276
     tracemalloc.start()
@@ -484,4 +488,19 @@ def test_perturbation_working_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * dim * dim * 8
+    assert peak <= 3.0 * dim * dim * 8
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("m, s, p", [(RandomModel(24, 4, 0.3, 0), 2, 0.3),
+                                     (RandomModel(16, 3, 0.3, 1), 1, 0.3)],
+                         ids=["24-4-s2", "16-3-s1"])
+def test_perturbation_does_not_depend_on_the_row_blocks(m, s, p, rows, monkeypatch):
+    """A row at a time, or 7 rows at a time, which leaves a partial last
+    block at dims 276 and 16, the split gives the same report, float for
+    float, as in the default blocks."""
+    g = build_aux(sample(m), s)
+    want = perturbation_diagnostics(g, p)
+    monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", rows * g.dim)
+    assert [b.stop - b.start for b in spectra._row_blocks(g.dim)][0] == rows
+    assert perturbation_diagnostics(g, p) == want

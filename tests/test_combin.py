@@ -324,6 +324,16 @@ def test_kneser_adjacency_petersen():
     assert np.all(np.diag(a) == 0)
 
 
+@pytest.mark.parametrize("n, s", [(5, 2), (6, 2), (7, 3), (9, 2), (3, 2), (4, 4)])
+def test_kneser_mask_is_the_adjacency(n, s):
+    """The bool mask the matrix layer reads is kneser_adjacency, one byte an
+    entry; n < 2s gives the all-false mask."""
+    mask = combin._kneser_mask(n, s)
+    assert mask.dtype == bool
+    assert np.array_equal(mask.astype(np.int64), kneser_adjacency(n, s))
+    assert kneser_adjacency(n, s).dtype == np.int64
+
+
 def test_kneser_spectrum_petersen():
     # Petersen graph: eigenvalue 3 once, 1 five times, -2 four times
     pairs = {(e.value, e.multiplicity) for e in kneser_spectrum(5, 2)}

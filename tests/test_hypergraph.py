@@ -321,6 +321,28 @@ def test_sample_blocks_match_one_draw(block, monkeypatch):
     assert [set(sample(m).edges) for m in models] == want
 
 
+# (n, r, p, seed), with the lone candidate edge kept, no edge kept, r = 1,
+# the README's (30, 3, 0.5) and a draw past one _DRAW_BLOCK of candidates
+_TRUSTED_GRID = [(12, 3, 0.5, 0), (30, 3, 0.5, 1), (14, 4, 0.3, 2), (10, 2, 0.6, 3),
+                 (9, 5, 0.4, 4), (6, 6, 0.5, 2), (7, 3, 0.001, 0), (8, 1, 0.5, 0),
+                 (40, 3, 0.5, 7), (24, 6, 0.002, 5), (200, 3, 0.01, 11)]
+
+
+@pytest.mark.parametrize("n, r, p, seed", _TRUSTED_GRID)
+def test_sample_output_passes_the_array_check(n, r, p, seed):
+    """sample builds its hypergraph without _check_array, on the strength of
+    colex_unrank giving the canonical array for increasing ranks: the check
+    passes on every array it hands over, and the checked constructor builds
+    an equal hypergraph from a copy."""
+    hg = importlib.import_module("hyperlap.hypergraph")
+    h = sample(RandomModel(n, r, p, seed))
+    arr = h._edge_array
+    hg._check_array(arr, n, r)
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert type(h.n) is int and type(h.r) is int and (h.n, h.r) == (n, r)
+    assert h == Hypergraph(n, r, arr.copy()) and hash(h) == hash(Hypergraph(n, r, arr.copy()))
+
+
 @pytest.mark.parametrize("budget", [1e3, "x", Fraction(10**4)])
 def test_sample_budget_must_be_an_integer(budget):
     with pytest.raises(BadParams, match=re.escape(f"budget must be an integer, got {budget!r}")):

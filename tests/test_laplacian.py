@@ -31,6 +31,7 @@ from hyperlap import (
 )
 from hyperlap.combin import colex_unrank
 from hyperlap.laplacian import MAX_DENSE_DIM
+import hyperlap.spectra as spectra
 
 
 def test_build_aux_single_edge():
@@ -183,8 +184,10 @@ def test_laplacian_bits_match_the_whole_array_formula(h, s):
 @pytest.mark.parametrize("m, s", [(RandomModel(24, 4, 0.3, 0), 2),
                                   (RandomModel(30, 4, 0.01, 0), 2)], ids=str)
 def test_laplacian_working_set(m, s):
-    """One float64 copy of the live weights and the scaling, no more: the
-    whole-array formula peaks at 3.0-3.2 matrices here, this at 2.0-2.2."""
+    """The float64 result and a few row blocks, no more: the whole-array
+    formula peaks at 3.0-3.2 matrices here, this at 1.44 (dim 276) and
+    1.19 (425 live stops of 435), where one row block is a fifth and an
+    eleventh of the matrix."""
     g = build_aux(sample(m), s)
     k = g.kept.size
     tracemalloc.start()
@@ -193,7 +196,41 @@ def test_laplacian_working_set(m, s):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * k * k * 8
+    assert peak <= 1.5 * k * k * 8
+
+
+@pytest.mark.parametrize("m", [RandomModel(40, 4, 0.3, 0), RandomModel(40, 4, 0.004, 1)],
+                         ids=["780-live", "dead-stops"])
+def test_laplacian_working_set_past_the_blocks(m):
+    """At 512 live stops and more a row block is a small share of the
+    matrix, so beside g's weights the build holds the result plus at most
+    a quarter matrix: 1.06 matrices measured at dim 780."""
+    g = build_aux(sample(m), 2)
+    k = g.kept.size
+    assert k >= 512
+    tracemalloc.start()
+    try:
+        normalized_laplacian(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * k * k * 8
+
+
+@pytest.mark.parametrize("entries", [1, 1000, None], ids=["one-row", "1000", "default"])
+@pytest.mark.parametrize("m", [RandomModel(24, 4, 0.3, 0), RandomModel(30, 4, 0.01, 0)],
+                         ids=["276-live", "dead-stops"])
+def test_laplacian_bits_do_not_depend_on_the_row_blocks(m, entries, monkeypatch):
+    """Built a row at a time, in blocks that leave a partial last one, or
+    in the default blocks, the Laplacian has the whole-array bits, with
+    and without dead stops."""
+    if entries is not None:
+        monkeypatch.setattr(spectra, "_BLOCK_ENTRIES", entries)
+    g = build_aux(sample(m), 2)
+    assert len(list(spectra._row_blocks(g.kept.size))) > 1
+    lap, want = normalized_laplacian(g), _laplacian_formula(g)
+    assert lap.shape == want.shape
+    assert np.array_equal(lap.view(np.int64), want.view(np.int64))
 
 
 def test_laplacian_diagonal_and_range():

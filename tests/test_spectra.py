@@ -28,7 +28,7 @@ from hyperlap import (
     spectral_norm,
     spectral_radius,
 )
-from hyperlap.spectra import ZERO_TOL, _as_array
+from hyperlap.spectra import ZERO_TOL, _as_array, _row_blocks
 
 
 def test_eigenvalues_tiny():
@@ -85,21 +85,67 @@ def test_symmetric_check_does_not_copy_float64():
 
 
 def test_symmetric_check_holds_one_temporary():
-    """a - a.T and its absolute value share one buffer: abs(a - a.T) as two
-    arrays peaks at 2.0 matrices here."""
-    dim = 1000
+    """The check holds one row block of a - a.T at a time, never a dim x dim
+    temporary: a - a.T on the whole array peaks at 1.0 matrices, and abs of
+    it as a second array at 2.0; the blocks measure 0.16 at dim 512 and
+    0.04 at dim 1000."""
     rng = np.random.default_rng(0)
-    a = rng.random((dim, dim))
+    for dim in (512, 1000):
+        a = rng.random((dim, dim))
+        a += a.T
+        tracemalloc.start()
+        try:
+            _as_array(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * dim * dim * 8
+        a[0, 1] += 1e-9  # the verdict is unchanged: past 1e-10 is refused
+        with pytest.raises(DimMismatch, match="not symmetric"):
+            _as_array(a)
+
+
+def _symmetric(dim: int) -> np.ndarray:
+    a = np.random.default_rng(dim).random((dim, dim))
     a += a.T
-    tracemalloc.start()
-    try:
+    return a
+
+
+def _planted_pairs(dim: int) -> dict[str, tuple[int, int]]:
+    """Entries (i, j) to push off symmetry: each pair lies inside one row
+    block, or spans the first and the last block, so no other block meets it."""
+    blocks = list(_row_blocks(dim))
+    second, last = blocks[1], blocks[-1]
+    assert dim - last.start < second.stop - second.start  # the last block is partial
+    return {"first-row-of-a-block": (second.start, second.stop - 1),
+            "last-row-of-a-block": (second.stop - 1, second.start),
+            "last-partial-block": (dim - 1, last.start),
+            "first-and-last-block": (0, dim - 1)}
+
+
+@pytest.mark.parametrize("where", list(_planted_pairs(1000)))
+def test_symmetric_check_finds_an_asymmetry_in_any_block(where):
+    """The block-wise check gives the whole-array verdict and message: an
+    entry 1e-9 off its transpose is refused wherever it lies, and one
+    5e-11 off is within the 1e-10 rule."""
+    a = _symmetric(1000)
+    i, j = _planted_pairs(1000)[where]
+    a[i, j] += 5e-11
+    assert _as_array(a) is a
+    a[i, j] += 1e-9
+    with pytest.raises(DimMismatch) as exc:
         _as_array(a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * dim * dim * 8
-    a[0, 1] += 1e-9  # the verdict is unchanged: past 1e-10 is refused
-    with pytest.raises(DimMismatch, match="not symmetric"):
+    assert str(exc.value) == "matrix is not symmetric"
+
+
+def test_symmetric_check_reads_finiteness_first():
+    """An asymmetry in the first block does not hide a NaN in the last one:
+    the check still refuses the matrix as non-finite, as the whole-array
+    check did."""
+    a = _symmetric(1000)
+    a[0, 1] += 1.0
+    a[999, 998] = np.nan
+    with pytest.raises(BadParams, match="non-finite"):
         _as_array(a)
 
 
